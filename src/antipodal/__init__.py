@@ -7,7 +7,8 @@ desk-scale instances, and a CLI front end.
 
 from .graphs import (Graph, DistanceMatrix, GraphError, all_pairs_distances,
                      closed_form_diameter, closed_form_distance, cyclic_distance,
-                     make_cartesian_product, make_cycle, make_gp, make_torus)
+                     distances, make_cartesian_product, make_cycle, make_gp,
+                     make_torus)
 from .radio import (Coloring, ColorOrdering, MinimalityCertificate, RadioError,
                     VerificationReport, minimality_certificate, order_by_color,
                     ordering_from_sequence, span, span_identity_residual,

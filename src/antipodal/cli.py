@@ -12,8 +12,7 @@ import io
 import json
 import sys
 
-from .graphs import (GraphError, all_pairs_distances, closed_form_diameter,
-                     make_cycle)
+from .graphs import GraphError, distances, make_cycle
 from .radio import (Coloring, RadioError, minimality_certificate, order_by_color,
                     ordering_from_sequence, span, span_identity_residual,
                     verify_radio_k)
@@ -94,7 +93,7 @@ def cmd_verify(args) -> int:
     with open(args.file) as fh:
         data = json.load(fh)
     graph, coloring, meta = serialize.coloring_from_dict(data)
-    dist = all_pairs_distances(graph)
+    dist = distances(graph)
     report = verify_radio_k(graph, dist, coloring)
     ordering = None
     if "ordering" in meta and meta["ordering"] is not None:
@@ -141,7 +140,7 @@ def cmd_exact(args) -> int:
         graph = make_torus(args.r, args.s)
     else:
         graph = make_cycle(args.n)
-    dist = all_pairs_distances(graph)
+    dist = distances(graph)
     k = args.k if args.k is not None else dist.diameter - 1
     result = exact_rc_k(graph, dist, k, node_budget=args.budget_nodes,
                         time_budget=args.budget_seconds)
@@ -163,7 +162,7 @@ def _gp_row(n: int) -> dict:
     coloring = gp_antipodal_coloring(n)
     from .graphs import make_gp
     graph = make_gp(n)
-    dist = all_pairs_distances(graph)
+    dist = distances(graph)
     ordering = ordering_from_sequence(coloring, dist, gp_ordering(n))
     cert = minimality_certificate(ordering, dist)
     return {
@@ -201,7 +200,7 @@ def _torus_row(r: int, s: int) -> dict:
         coloring = torus_antipodal_coloring(r, s)
         from .graphs import make_torus
         graph = make_torus(r, s)
-        dist = all_pairs_distances(graph)
+        dist = distances(graph)
         ordering = ordering_from_sequence(coloring, dist, torus_ordering(r, s))
         cert = minimality_certificate(ordering, dist)
         row["construction_span"] = span(coloring)

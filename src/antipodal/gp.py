@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .graphs import Graph, DistanceMatrix, GraphError, all_pairs_distances, \
-    closed_form_diameter, make_gp
+    closed_form_diameter, distances, make_gp
 from .radio import Coloring, ColorOrdering, ordering_from_sequence
 from .results import EXACT, UPPER_BOUND, FormulaResult, PatternReport
 
@@ -147,7 +147,7 @@ def gp_antipodal_coloring(n: int) -> Coloring:
 def gp_construction(n: int) -> tuple[Graph, DistanceMatrix, ColorOrdering, Coloring, FormulaResult]:
     """Build graph, distances, construction ordering, coloring and formula."""
     graph = make_gp(n)
-    dist = all_pairs_distances(graph)
+    dist = distances(graph)
     coloring = gp_antipodal_coloring(n)
     ordering = ordering_from_sequence(coloring, dist, gp_ordering(n))
     return graph, dist, ordering, coloring, gp_ac_formula(n)

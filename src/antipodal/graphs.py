@@ -2,13 +2,16 @@
 
 Builds cycles, generalized Petersen graphs GP(n,1), toroidal grids and
 Cartesian products as immutable adjacency structures, and computes exact
-hop distances both by breadth-first search and by closed form.
+hop distances: ``distances`` uses the closed form for cycles, GP(n,1) and
+tori and breadth-first search (``all_pairs_distances``) for anything else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections import deque
+from itertools import chain
+from math import prod
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -234,6 +237,78 @@ def all_pairs_distances(graph: Graph) -> DistanceMatrix:
     if not reached.all():
         raise GraphError("graph is not connected")
     return DistanceMatrix(dist=dist, diameter=int(dist.max()))
+
+
+def distances(graph: Graph) -> DistanceMatrix:
+    """Exact all-pairs hop distances: closed form where the graph is a
+    built-in family, breadth-first search otherwise.
+
+    Cycles, GP(n,1) = K_2 x C_n and tori C_r x C_s are Cartesian products of
+    cycles (K_2 being the cycle on two vertices, distance-wise), so their
+    distances add coordinatewise.  The closed form is used only after
+    checking that the adjacency is exactly the declared family's edge set;
+    any other graph goes to ``all_pairs_distances``.
+    """
+    dims = _closed_form_dims(graph)
+    if dims is None:
+        return all_pairs_distances(graph)
+    return DistanceMatrix(dist=_cycle_product_distances(dims),
+                          diameter=sum(m // 2 for m in dims))
+
+
+def _cycle_hops(m: int, a, b):
+    """Vectorized ``cyclic_distance`` on C_m."""
+    delta = (a - b) % m
+    return np.minimum(delta, m - delta)
+
+
+def _closed_form_dims(graph: Graph) -> tuple[int, ...] | None:
+    """Cycle lengths of the product the graph's family declares, in the
+    row-major order of its vertex indices, or None unless the adjacency is
+    that product's edge set.  O(V + E).
+    """
+    family, params = graph.family, graph.params
+    if family == "cycle":
+        dims = (params.get("n"),)
+    elif family == "gp":
+        dims = (2, params.get("n"))  # ("x", i) at index i, ("y", i) at n + i
+    elif family == "torus":
+        dims = (params.get("r"), params.get("s"))
+    else:
+        return None
+    if not all(isinstance(m, int) and m >= 2 for m in dims):
+        return None
+    degree = sum(1 if m == 2 else 2 for m in dims)
+    if prod(dims) != graph.n or graph.edge_count != graph.n * degree // 2:
+        return None
+    # same size, and every edge is a product edge: the edge sets are equal
+    counts = np.fromiter(map(len, graph.adjacency), dtype=np.intp, count=graph.n)
+    u = np.repeat(np.arange(graph.n), counts)
+    v = np.fromiter(chain.from_iterable(graph.adjacency), dtype=np.intp, count=len(u))
+    hops = sum(_cycle_hops(m, a, b) for m, a, b in
+               zip(dims, np.unravel_index(u, dims), np.unravel_index(v, dims)))
+    return dims if (hops == 1).all() else None
+
+
+def _cycle_product_distances(dims: tuple[int, ...]) -> np.ndarray:
+    """int32 distance matrix of C_{m_1} x ... x C_{m_k}, row-major indices.
+
+    Written in place through a 2k-axis view of the one V x V array; each
+    cycle term is a circulant read as a sliding-window view, so nothing
+    else of size V^2 is allocated.
+    """
+    size = prod(dims)
+    dist = np.zeros((size, size), dtype=np.int32)
+    grid = dist.reshape(dims + dims)
+    k = len(dims)
+    for axis, m in enumerate(dims):
+        row = _cycle_hops(m, np.arange(m, dtype=np.int32), 0)
+        # circulant[i, j] = row[(j - i) % m] = window m - i of row + row
+        circulant = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([row, row]), m)[m:0:-1]
+        others = tuple(a for a in range(2 * k) if a not in (axis, k + axis))
+        grid += np.expand_dims(circulant, others)
+    return dist
 
 
 def closed_form_distance(family: str, params: Mapping[str, int], u, v) -> int:

@@ -116,14 +116,35 @@ def order_by_color(coloring: Coloring, dist: DistanceMatrix) -> ColorOrdering:
                          epsilons=_epsilons(order, coloring.colors, coloring.k, dist))
 
 
-def verify_radio_k(graph: Graph, dist: DistanceMatrix, coloring: Coloring,
-                   k: int | None = None, skip_satisfied: bool = False) -> VerificationReport:
-    """Check the radio condition on all vertex pairs.
+def radio_violations(colors, k: int,
+                     dist: DistanceMatrix) -> tuple[tuple[int, int, int, int], ...]:
+    """Every vertex pair breaking |g(u) - g(v)| >= 1 + k - d(u, v), sorted,
+    as (u, v, required gap, actual gap) with u < v.
 
-    ``skip_satisfied`` enables the shortcut that pairs whose color gap is
-    already >= k + 1 can never violate the condition; the report is
-    identical either way.
+    Walks the vertices in color order and, from each one, only the later
+    vertices whose color gap is below k + 1: a pair with a larger gap can
+    never violate the condition.
     """
+    n = len(colors)
+    violations = []
+    by_color = sorted(range(n), key=lambda v: colors[v])
+    for a in range(n):
+        u = by_color[a]
+        for b in range(a + 1, n):
+            v = by_color[b]
+            gap = colors[v] - colors[u]
+            if gap >= k + 1:
+                break  # later vertices only have larger gaps
+            required = 1 + k - dist.d(u, v)
+            if gap < required:
+                violations.append((min(u, v), max(u, v), required, gap))
+    violations.sort()
+    return tuple(violations)
+
+
+def verify_radio_k(graph: Graph, dist: DistanceMatrix, coloring: Coloring,
+                   k: int | None = None) -> VerificationReport:
+    """Check the radio condition on all vertex pairs (``radio_violations``)."""
     if k is None:
         k = coloring.k
     elif k != coloring.k:
@@ -132,29 +153,8 @@ def verify_radio_k(graph: Graph, dist: DistanceMatrix, coloring: Coloring,
         raise RadioError("coloring size does not match graph order")
     if not 1 <= k <= dist.diameter:
         raise RadioError("k out of range 1..diameter")
-    colors = coloring.colors
-    violations = []
-    if skip_satisfied:
-        by_color = sorted(range(graph.n), key=lambda v: colors[v])
-        for a in range(graph.n):
-            u = by_color[a]
-            for b in range(a + 1, graph.n):
-                v = by_color[b]
-                gap = colors[v] - colors[u]
-                if gap >= k + 1:
-                    break  # later vertices only have larger gaps
-                required = 1 + k - dist.d(u, v)
-                if gap < required:
-                    violations.append((min(u, v), max(u, v), required, gap))
-    else:
-        for u in range(graph.n):
-            for v in range(u + 1, graph.n):
-                required = 1 + k - dist.d(u, v)
-                gap = abs(colors[u] - colors[v])
-                if gap < required:
-                    violations.append((u, v, required, gap))
-    violations.sort()
-    return VerificationReport(valid=not violations, violations=tuple(violations))
+    violations = radio_violations(coloring.colors, k, dist)
+    return VerificationReport(valid=not violations, violations=violations)
 
 
 def span_identity_residual(ordering: ColorOrdering, dist: DistanceMatrix,

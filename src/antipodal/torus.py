@@ -23,8 +23,8 @@ from fractions import Fraction
 from math import gcd
 
 from .graphs import (GraphError, all_pairs_distances, cyclic_distance,
-                     make_torus)
-from .radio import Coloring
+                     distances, make_torus)
+from .radio import Coloring, radio_violations
 from .results import EXACT, LOWER_BOUND, UPPER_BOUND, FormulaResult, PatternReport
 
 L00 = "(0,0)"
@@ -391,7 +391,7 @@ def _pattern_mismatches(labels, r, s, checks):
 
 
 # ---------------------------------------------------------------------------
-# pair-chain coloring and its validity check (closed-form distances)
+# pair-chain coloring and its validity check
 # ---------------------------------------------------------------------------
 
 def _chain_colors(labels, r, s, deltas=None):
@@ -412,21 +412,27 @@ def _chain_colors(labels, r, s, deltas=None):
 
 
 def _assert_valid_chain(labels, r, s, deltas, expected_span):
-    """Full pairwise antipodal-condition check with closed-form distances."""
+    """Check the chain's coloring of T(r,s) with the shared radio-condition
+    kernel, plus the permutation, span and monotone-colors invariants.
+
+    The kernel is called directly: a ``verify_radio_k`` call stands for one
+    verification of a finished coloring, and the benchmark trace counts it
+    as such.
+    """
     if not _is_permutation(labels, r, s):
         raise ConstructionError(f"ordering is not a permutation for ({r},{s})")
-    diam = r // 2 + s // 2
     colors = _chain_colors(labels, r, s, deltas)
     got_span = max(colors.values())
     if got_span != expected_span:
         raise ConstructionError(
             f"construction span {got_span} != formula value {expected_span} for ({r},{s})")
-    items = sorted(colors.items())
-    for idx, (u, cu) in enumerate(items):
-        for v, cv in items[idx + 1:]:
-            if abs(cu - cv) < diam - _tdist(r, s, u, v):
-                raise ConstructionError(
-                    f"antipodal condition fails between {u} and {v} for ({r},{s})")
+    violations = radio_violations([colors[divmod(v, s)] for v in range(r * s)],
+                                  r // 2 + s // 2 - 1, distances(make_torus(r, s)))
+    if violations:
+        u, v, required, gap = violations[0]
+        raise ConstructionError(
+            f"antipodal condition fails between {divmod(u, s)} and {divmod(v, s)} "
+            f"(color gap {gap} < {required}) for ({r},{s})")
     prev = -1
     for lab in labels:
         if colors[lab] < prev:
@@ -686,8 +692,8 @@ def torus_ordering(r: int, s: int) -> list[int]:
 def torus_antipodal_coloring(r: int, s: int) -> Coloring:
     """Antipodal coloring (k = diameter - 1) of T(r,s) for even rs.
 
-    The result is validated in full against the closed-form distances and
-    its span against the class formula before being returned.
+    The result is validated in full by the shared radio-condition kernel
+    and its span against the class formula before being returned.
     """
     case = torus_case(r, s)
     labels, deltas = _normalized_ordering(case)
@@ -802,7 +808,7 @@ def triameter_max(r: int, s: int, budget: int = 225) -> int:
     """
     if r * s > budget:
         raise TorusError(f"triple enumeration budget exceeded: {r * s} > {budget}")
-    dist = all_pairs_distances(make_torus(r, s)).dist
+    dist = distances(make_torus(r, s)).dist
     best = 0
     for w in range(r * s):
         total = dist[:, [w]] + dist[[w], :] + dist

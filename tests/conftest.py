@@ -1,4 +1,5 @@
-"""Shared helpers: random connected graphs and valid radio colorings."""
+"""Shared helpers: random connected graphs, valid radio colorings and a
+brute-force reference verifier."""
 
 from __future__ import annotations
 
@@ -44,3 +45,23 @@ def greedy_valid_coloring(graph, dist, k, rng: random.Random):
         colors[v] = c
     low = min(colors.values())
     return Coloring(colors=tuple(colors[v] - low for v in range(graph.n)), k=k)
+
+
+def reference_verify(graph, dist, coloring):
+    """Brute-force radio-condition check over every vertex pair.
+
+    The plain all-pairs loop the library's sorted-by-color verifier must
+    agree with, report for report.
+    """
+    from antipodal.radio import VerificationReport
+
+    k = coloring.k
+    colors = coloring.colors
+    violations = []
+    for u in range(graph.n):
+        for v in range(u + 1, graph.n):
+            required = 1 + k - dist.d(u, v)
+            gap = abs(colors[u] - colors[v])
+            if gap < required:
+                violations.append((u, v, required, gap))
+    return VerificationReport(valid=not violations, violations=tuple(violations))

@@ -39,6 +39,26 @@ def test_search_raises_on_unreachable_span():
     _SEARCH_CACHE.clear()
 
 
+def _swap_across_pairs(labels, deltas):
+    labels[0], labels[5] = labels[5], labels[0]  # pairs 0 and 2; span stays 28
+
+
+def _raise_first_pair_gap(labels, deltas):
+    deltas[0] += 1
+
+
+@pytest.mark.parametrize("corrupt", [_swap_across_pairs, _raise_first_pair_gap])
+def test_self_check_rejects_corrupted_frozen_chain(monkeypatch, corrupt):
+    labels, deltas = (list(part) for part in _KNOWN_CHAINS[(3, 8)])
+    corrupt(labels, deltas)
+    monkeypatch.setitem(_KNOWN_CHAINS, (3, 8), (labels, deltas))
+    monkeypatch.delitem(_SEARCH_CACHE, (3, 8), raising=False)
+    # permutation and span still hold, so the pairwise verifier must reject it
+    with pytest.raises(ConstructionError,
+                       match=r"antipodal condition fails between \(\d, \d\) and"):
+        torus_antipodal_coloring(3, 8)
+
+
 @pytest.mark.skipif(not os.environ.get("ANTIPODAL_SLOW"),
                     reason="set ANTIPODAL_SLOW=1 to re-derive frozen chains (minutes)")
 def test_regenerate_frozen_chains_from_scratch():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from antipodal import graphs
 from antipodal.graphs import (Graph, GraphError, all_pairs_distances,
                               closed_form_diameter, closed_form_distance,
-                              cyclic_distance, make_cartesian_product,
+                              cyclic_distance, distances, make_cartesian_product,
                               make_cycle, make_gp, make_torus)
 
 
@@ -103,6 +104,49 @@ def test_distance_matrix_invariants():
         assert off.min() >= 1 and off.max() == dm.diameter
         for u in range(n):  # triangle inequality: d[u,w] + d[w,v] >= d[u,v]
             assert (d[u][:, None] + d >= d[u][None, :]).all()
+
+
+def _assert_same_distances(graph, bfs=None):
+    got = distances(graph)
+    bfs = all_pairs_distances(graph) if bfs is None else bfs
+    assert got.dist.dtype == bfs.dist.dtype == np.int32
+    assert got.dist.shape == bfs.dist.shape
+    assert (got.dist == bfs.dist).all()
+    assert got.diameter == bfs.diameter
+
+
+def test_closed_form_distances_equal_bfs(monkeypatch):
+    built_in = [make_cycle(n) for n in range(3, 61)] + [make_gp(n) for n in range(3, 61)]
+    built_in += [make_torus(r, s) for r in range(3, 16) for s in range(3, 16)]
+    references = [all_pairs_distances(g) for g in built_in]
+
+    def no_bfs(graph):
+        raise AssertionError(f"{graph.family} {graph.params} fell back to BFS")
+
+    monkeypatch.setattr(graphs, "all_pairs_distances", no_bfs)
+    for graph, bfs in zip(built_in, references):
+        _assert_same_distances(graph, bfs)
+
+
+def test_distances_fall_back_to_bfs_when_family_does_not_match():
+    gp4 = make_gp(4).adjacency
+    # right vertex count, wrong edge count (the closed form would give 4 here)
+    mislabeled = Graph(n=8, adjacency=gp4, family="cycle", params={"n": 8})
+    _assert_same_distances(mislabeled)
+    assert distances(mislabeled).d(0, 4) == 1
+    # right vertex and edge counts, but the edges are not the family's
+    order = [0, 2, 4, 6, 1, 3, 5, 7]  # the 8-cycle visited in another order
+    adj = [[] for _ in range(8)]
+    for a, b in zip(order, order[1:] + order[:1]):
+        adj[a].append(b)
+        adj[b].append(a)
+    shuffled = Graph(n=8, adjacency=tuple(tuple(sorted(row)) for row in adj),
+                     family="cycle", params={"n": 8})
+    _assert_same_distances(shuffled)
+    assert distances(shuffled).d(0, 1) == 4
+    # parameters that name no product of cycles
+    for family, params in [("torus", {}), ("gp", {"n": "4"}), ("product", {})]:
+        _assert_same_distances(Graph(n=8, adjacency=gp4, family=family, params=params))
 
 
 def test_disconnected_graph_rejected():

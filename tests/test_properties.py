@@ -9,7 +9,7 @@ from antipodal.graphs import (all_pairs_distances, make_cartesian_product,
 from antipodal.radio import (Coloring, order_by_color, ordering_from_sequence,
                              span_identity_residual, verify_radio_k)
 
-from conftest import greedy_valid_coloring, random_connected_graph
+from conftest import greedy_valid_coloring, random_connected_graph, reference_verify
 
 
 @given(st.integers(0, 10 ** 6), st.integers(4, 12))
@@ -71,7 +71,7 @@ def test_verifier_reports_every_negative_slack_pair(seed, n):
 
 @given(st.integers(0, 10 ** 6), st.integers(4, 10))
 @settings(max_examples=40, deadline=None)
-def test_skip_satisfied_flag_is_equivalent(seed, n):
+def test_verifier_matches_brute_force_reference(seed, n):
     rng = random.Random(seed)
     graph = random_connected_graph(rng, n)
     dist = all_pairs_distances(graph)
@@ -79,7 +79,7 @@ def test_skip_satisfied_flag_is_equivalent(seed, n):
     colors = tuple(rng.randrange(0, 3 * k) for _ in range(n))
     coloring = Coloring(colors, k=k)
     assert verify_radio_k(graph, dist, coloring) == \
-        verify_radio_k(graph, dist, coloring, skip_satisfied=True)
+        reference_verify(graph, dist, coloring)
 
 
 @given(st.integers(0, 10 ** 6), st.integers(4, 10))

@@ -8,6 +8,8 @@ from antipodal.radio import (CLAUSE_TWO_STEP, Coloring, RadioError,
 from antipodal.gp import gp_construction
 from antipodal.torus import torus_antipodal_coloring, torus_ordering
 
+from conftest import reference_verify
+
 
 @pytest.fixture(scope="module")
 def c4():
@@ -45,12 +47,11 @@ def test_verify_k_mismatch_and_size_mismatch(c4):
         verify_radio_k(g, d, Coloring((0, 1, 0, 1), k=3), k=3)  # k > diameter
 
 
-def test_skip_satisfied_report_identical(c4):
+def test_verify_report_matches_reference(c4):
     g, d = c4
     for colors in [(0, 1, 0, 1), (0, 0, 0, 0), (0, 2, 1, 3), (5, 0, 2, 1)]:
-        full = verify_radio_k(g, d, Coloring(colors, k=1))
-        fast = verify_radio_k(g, d, Coloring(colors, k=1), skip_satisfied=True)
-        assert full == fast
+        coloring = Coloring(colors, k=1)
+        assert verify_radio_k(g, d, coloring) == reference_verify(g, d, coloring)
 
 
 def test_span_examples():
