@@ -33,13 +33,16 @@ which computes its conclusion from closed-form torus distances:
    first partner offset and the mirror of each even side pins the sign of
    that side's coordinate in the first step.
 
-The check uses neither the library's orderings nor its chain search, so it
-can audit the span the library emits.
+Step (4) is also the library's only search for certified pair chains: the
+torus builder emits the first chain it finds where no repaired ordering
+holds.  The check uses none of the library's orderings, so it can still
+audit the span the library emits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .graphs import cyclic_distance
 
@@ -78,10 +81,15 @@ class SpanCheck:
         return self.chain is None and (self.nodes > 0 or self.sequences == 0)
 
 
-def _length_sequences(steps, top, budget, isolated):
-    """Step-length sequences with total shortfall from ``top`` <= budget;
-    with ``isolated``, no two ``top`` steps are adjacent and none is last."""
-    out = []
+def _length_rule(steps, top, budget, isolated):
+    """Step (3) as a rule, so that memory stays bounded however many
+    sequences are left: ``lengths(m, spent, prev_top)`` gives, longest
+    first, the (length, spent after it, is top) options of step m after a
+    prefix that spent ``spent`` of the shortfall budget and did (or did not)
+    end in a ``top`` step, such that some completion keeps the total
+    shortfall from ``top`` <= budget; with ``isolated``, no two ``top``
+    steps are adjacent and none is last.  The second value returned is the
+    number of complete sequences."""
 
     def least(rem, prev_top):
         # shortfall the last ``rem`` steps must still spend
@@ -90,23 +98,29 @@ def _length_sequences(steps, top, budget, isolated):
         free = rem - 1 - prev_top  # positions that may hold a top step
         return rem - (free + 1) // 2 if free > 0 else rem
 
-    def grow(seq, spent, prev_top):
-        if len(seq) == steps:
-            out.append(tuple(seq))
-            return
-        rem = steps - len(seq) - 1
+    def candidates(m, spent, prev_top):
+        rem = steps - m - 1
         for length in range(top, 0, -1):
             is_top = length == top
             if isolated and is_top and (prev_top or rem == 0):
                 continue
             cost = spent + top - length
             if cost + least(rem, is_top) <= budget:
-                seq.append(length)
-                grow(seq, cost, is_top)
-                seq.pop()
+                yield length, cost, is_top
 
-    grow([], 0, False)
-    return out
+    @cache
+    def count(m, spent, prev_top):
+        if m == steps:
+            return 1
+        return sum(count(m + 1, cost, is_top)
+                   for _, cost, is_top in candidates(m, spent, prev_top))
+
+    @cache
+    def lengths(m, spent, prev_top):
+        return tuple(option for option in candidates(m, spent, prev_top)
+                     if count(m + 1, option[1], option[2]))
+
+    return lengths, count(0, 0, False)
 
 
 def check_certified_span(r: int, s: int, span: int) -> SpanCheck:
@@ -151,20 +165,9 @@ def check_certified_span(r: int, s: int, span: int) -> SpanCheck:
                     + ("are never adjacent and never last" if isolated
                        else "may be adjacent"))
 
-    # (3) step-length sequences left
-    sequences = _length_sequences(pairs - 1, top, budget, isolated)
-    multisets = sorted({tuple(sorted(seq, reverse=True)) for seq in sequences})
-    shapes = "; ".join(
-        " + ".join(f"{seq.count(x)} x {x}" for x in sorted(set(seq), reverse=True))
-        for seq in multisets)
-    findings.append(f"(3) {len(sequences)} length sequences left "
-                    f"({shapes or 'none'})")
-    allowed: dict[tuple[int, ...], list[int]] = {}
-    for seq in sequences:
-        for m in range(len(seq)):
-            nexts = allowed.setdefault(seq[:m], [])
-            if seq[m] not in nexts:
-                nexts.append(seq[m])
+    # (3) step-length sequences left, counted rather than listed
+    lengths, sequences = _length_rule(pairs - 1, top, budget, isolated)
+    findings.append(f"(3) {sequences} length sequences left")
 
     # (4) enumerate the anchor walks those sequences leave
     used = bytearray(n)
@@ -189,19 +192,20 @@ def check_certified_span(r: int, s: int, span: int) -> SpanCheck:
     by_length = [[[v for v in range(n) if dist[u][v] == length]
                   for length in range(top + 1)] for u in range(n)]
 
-    def extend(prefix, a, color, b):
-        # pair (a, b) is open: a is placed at ``color``, b's gap is pending
+    def extend(m, spent, prev_top, a, color, b):
+        # pair (a, b) is open: a is placed at ``color``, b's gap is pending;
+        # m steps taken so far, spending ``spent`` of the shortfall budget
         nonlocal nodes
-        if len(prefix) == pairs - 1:
+        if m == pairs - 1:
             nodes += 1
             if fits(b, color):
                 placed.append((b, color))
                 return True
             return False
-        for step in allowed[prefix]:
+        for step, spent2, is_top in lengths(m, spent, prev_top):
             color2 = color + diam - step
             for a2 in by_length[a][step]:
-                if used[a2] or (not prefix and not pinned(a2)):
+                if used[a2] or (m == 0 and not pinned(a2)):
                     continue
                 for delta in range(dist[b][a2] - step + 1):
                     nodes += 1
@@ -219,7 +223,7 @@ def check_certified_span(r: int, s: int, span: int) -> SpanCheck:
                             if used[b2]:
                                 continue
                             used[b2] = 1
-                            if extend(prefix + (step,), a2, color2, b2):
+                            if extend(m + 1, spent2, is_top, a2, color2, b2):
                                 return True
                             used[b2] = 0
                         used[a2] = 0
@@ -232,10 +236,10 @@ def check_certified_span(r: int, s: int, span: int) -> SpanCheck:
         first_partner = offsets[0]  # the odd side's mirror swaps the two offsets
         used[0] = used[first_partner] = 1
         placed.append((0, 0))
-        if extend((), 0, 0, first_partner):
+        if extend(0, 0, False, 0, 0, first_partner):
             chain = tuple(placed)
     findings.append("(4) " + ("found a certified chain" if chain else
                               "no anchor walk completes to a certified chain")
                     + f" after {nodes} nodes")
-    return SpanCheck(top=top, isolated=isolated, sequences=len(sequences),
+    return SpanCheck(top=top, isolated=isolated, sequences=sequences,
                      nodes=nodes, chain=chain, findings=tuple(findings))

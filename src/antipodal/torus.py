@@ -10,8 +10,9 @@ passes.  For odd rs only a lower bound is available.
 
 The published per-class ordering formulas are used wherever they hold; a
 handful of small sizes need repaired orderings (generalized copy shifts, a
-zigzag row sweep, or a certified exhaustive chain search) because the
-literal formulas double-cover vertices or their seam distances degenerate.
+zigzag row sweep, or the first certified pair chain that the exhaustive
+enumeration of ``antipodal.span_check`` finds) because the literal formulas
+double-cover vertices or their seam distances degenerate.
 Every constructor validates its output and fails loudly rather than emit a
 bad ordering.
 """
@@ -442,175 +443,36 @@ def _assert_valid_chain(labels, r, s, deltas, expected_span):
 
 
 # ---------------------------------------------------------------------------
-# certified chain search (used where every published formula breaks)
+# certified pair chains (used where every published formula breaks)
 # ---------------------------------------------------------------------------
-
-_SEARCH_CACHE: dict[tuple[int, int], tuple[list, list]] = {}
 
 # Sizes where NO antipodal coloring that passes the minimality certificate
 # can attain the published closed form (antipodal.span_check enumerates the
-# certified pair chains and rules it out).  The construction emits a
-# certified chain of the listed span instead (not the least certified span:
-# T(3,12) also has a certified span-61 chain) and the formula carries a
-# discrepancy note.
+# certified pair chains and rules it out).  The construction emits the
+# repaired (3,0) ordering, a certified chain of the listed span (not the
+# least certified span: T(3,12) also has a certified span-61 chain), and
+# the formula carries a discrepancy note.
 _CERTIFIED_SPAN_OVERRIDES: dict[tuple[int, int], int] = {(3, 12): 62}
 
-# Chains found by _chain_search for the sizes whose published orderings are
-# unsatisfiable and whose search is too slow to rerun at import time.  The
-# regeneration test in the suite re-derives them from scratch.
-_KNOWN_CHAINS: dict[tuple[int, int], tuple[list[tuple[int, int]], list[int]]] = {
-    (3, 8): ([(0, 0), (1, 4), (2, 2), (0, 6), (2, 4), (1, 0), (0, 2), (1, 6),
-              (0, 4), (2, 0), (1, 2), (2, 6), (0, 1), (1, 5), (0, 3), (2, 7),
-              (1, 1), (2, 5), (1, 3), (0, 7), (2, 1), (0, 5), (2, 3), (1, 7)],
-             [0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0]),
-}
 
+def _certified_chain(r, s, value):
+    """Labels and per-pair deltas of the first certified pair chain of span
+    at most ``value`` that ``span_check``'s exhaustive enumeration finds.
 
-def _chain_search(r, s, span_target, node_cap=20_000_000, max_delta=None):
-    """Depth-first search for an ordering of consecutive antipodal pairs
-    whose telescoped span hits ``span_target`` and whose induced coloring is
-    valid.  Deterministic; first solution wins.
-
-    Translation symmetry pins the first vertex at (0,0); the two mirror
-    automorphisms pin the first pair offset and the sign of the first step's
-    second coordinate.
+    Deterministic.  Imported here so that no CLI call pays for loading the
+    enumeration unless it reaches this fallback.
     """
-    key = (r, s)
-    if key in _SEARCH_CACHE:
-        return _SEARCH_CACHE[key]
-    if key in _KNOWN_CHAINS:
-        return _KNOWN_CHAINS[key]
-    if max_delta is None:
-        # pair gaps beyond 1 have never been needed; try the small phase
-        # first and widen only if it exhausts
-        try:
-            return _chain_search(r, s, span_target, node_cap, max_delta=1)
-        except ConstructionError:
-            return _chain_search(r, s, span_target, node_cap,
-                                 max_delta=(r // 2 + s // 2) - 1)
-    diam = r // 2 + s // 2
-    pairs = r * s // 2
-    n = r * s
-    target = (pairs - 1) * diam - span_target
-    offs_r = sorted({r // 2, (r - r // 2) % r})
-    offs_s = sorted({s // 2, (s - s // 2) % s})
-    doffs = [e * s + f for e in offs_r for f in offs_s]
-
-    # req[u][v] = minimum color gap between u and v
-    req = [[diam - _tdist(r, s, divmod(u, s), divmod(v, s)) for v in range(n)]
-           for u in range(n)]
-
-    # A step of length d needs a vertex at distance >= d from the previous
-    # pair partner (slack >= 0), which caps the usable step length.
-    max_step = 0
-    for si in range(r):
-        for sj in range(s):
-            dlen = _tdist(r, s, (si, sj), (0, 0))
-            if dlen == 0:
-                continue
-            for e, f in ((e, f) for e in offs_r for f in offs_s):
-                if _tdist(r, s, ((si - e) % r, (sj - f) % s), (0, 0)) >= dlen:
-                    max_step = max(max_step, dlen)
-                    break
-
-    used = bytearray(n)
-    placed_v: list[int] = []
-    placed_c: list[int] = []
-    seq: list[int] = []
-    deltas: list[int] = []
-    nodes = 0
-
-    def fits(v, c):
-        rv = req[v]
-        for i in range(len(placed_v)):
-            gap = c - placed_c[i]
-            if (gap if gap >= 0 else -gap) < rv[placed_v[i]]:
-                return False
-        return True
-
-    def push(v, c):
-        used[v] = 1
-        placed_v.append(v)
-        placed_c.append(c)
-        seq.append(v)
-
-    def pop():
-        used[seq[-1]] = 0
-        placed_v.pop()
-        placed_c.pop()
-        seq.pop()
-
-    def partner_of(a, dv):
-        i, j = divmod(a, s)
-        e, f = divmod(dv, s)
-        return ((i + e) % r) * s + (j + f) % s
-
-    def try_partners(a, color, last, descend, root_offs):
-        nonlocal nodes
-        for dv in root_offs:
-            b = partner_of(a, dv)
-            if used[b]:
-                continue
-            for delta in ((0,) if last else range(min(max_delta, span_target - color) + 1)):
-                nodes += 1
-                if nodes > node_cap:
-                    raise ConstructionError(
-                        f"chain search exceeded {node_cap} nodes for ({r},{s})")
-                if not fits(b, color + delta):
-                    continue
-                push(b, color + delta)
-                deltas.append(delta)
-                if descend():
-                    return True
-                pop()
-                deltas.pop()
-        return False
-
-    def dfs(m, sum_d, color):
-        if m == pairs:
-            return sum_d == target
-        rem = pairs - 1 - m
-        prev_a = seq[-2]
-        prev_b_color = placed_c[-1]
-        dp = req[prev_a]
-        candidates = []
-        for a in range(n):
-            if used[a]:
-                continue
-            d = diam - dp[a]
-            if d > max_step:
-                continue
-            new_sum = sum_d + d
-            if new_sum + rem > target or new_sum + rem * max_step < target:
-                continue
-            new_color = color + diam - d
-            if new_color < prev_b_color:
-                continue  # previous pair's delta would exceed its slack
-            if m == 1 and 2 * (a % s) > s:
-                continue  # second-coordinate mirror: pin the first step
-            candidates.append((d, a, new_color))
-        ideal = (target - sum_d) / (rem + 1)
-        candidates.sort(key=lambda t: (abs(t[0] - ideal), t[0], t[1]))
-        last = m + 1 == pairs
-        for d, a, new_color in candidates:
-            if not fits(a, new_color):
-                continue
-            push(a, new_color)
-            if try_partners(a, new_color, last,
-                            lambda: dfs(m + 1, sum_d + d, new_color), doffs):
-                return True
-            pop()
-        return False
-
-    push(0, 0)
-    # first-coordinate mirror maps the pair offsets onto each other
-    if try_partners(0, 0, pairs == 1, lambda: dfs(1, 0, 0), doffs[:1]):
-        labels = [divmod(v, s) for v in seq]
-        result = (labels, list(deltas))
-        _SEARCH_CACHE[key] = result
-        return result
-    raise ConstructionError(
-        f"no certified pair chain with span {span_target} exists for ({r},{s})")
+    from .span_check import SpanCheckError, check_certified_span
+    try:
+        chain = check_certified_span(r, s, value).chain
+    except SpanCheckError as exc:
+        raise ConstructionError(f"chain enumeration undecided: {exc}") from exc
+    if chain is None:
+        raise ConstructionError(
+            f"no certified pair chain with span {value} exists for ({r},{s})")
+    labels = [divmod(v, s) for v, _ in chain]
+    deltas = [chain[m + 1][1] - chain[m][1] for m in range(0, len(chain), 2)]
+    return labels, deltas
 
 
 # ---------------------------------------------------------------------------
@@ -672,8 +534,7 @@ def _normalized_ordering(case: TorusCase) -> tuple[list, list | None]:
         labels = _order_22_low(r, s) if r % 8 == 6 else _order_22_high(r, s)
     if labels is not None and _is_permutation(labels, r, s):
         return labels, None
-    value = torus_ac_formula(r, s).value
-    return _chain_search(r, s, value)
+    return _certified_chain(r, s, torus_ac_formula(r, s).value)
 
 
 def _to_original_labels(case: TorusCase, labels):

@@ -99,7 +99,7 @@ def test_criterion_3_torus_even_rs():
     # UpperBound, printed_value = published).  Such a size is accepted only
     # if antipodal.span_check rules out every certified coloring of span at
     # most the published value (T(3,12): no certified span 60, see
-    # scripts/regenerate_repaired_chains.py --impossibility); the emitted
+    # scripts/t312_impossibility.py); the emitted
     # span must then sit above the published value.  A size marked Exact
     # is never a departure, so it must meet the published span.
     started = time.monotonic()

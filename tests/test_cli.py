@@ -196,3 +196,20 @@ def test_dot_output_deterministic():
     coloring = Coloring((0, 1, 0, 1), k=1)
     assert coloring_to_dot(g, coloring) == coloring_to_dot(g, coloring)
     assert dumps_canonical({"b": 1, "a": 2}) == '{"a":2,"b":1}\n'
+
+
+@pytest.mark.parametrize("s", [16, 20, 24])
+def test_gen_unreachable_published_span_fails_fast(capsys, s):
+    # no certified pair chain reaches the published (3,0)-class span here
+    code, _, err = run_cli(capsys, "gen", "--family", "torus", "--r", "3", "--s", str(s))
+    assert code == 2
+    assert "no certified pair chain" in err
+
+
+def test_gen_undecided_chain_enumeration_is_an_error(capsys, monkeypatch):
+    from antipodal import span_check
+    monkeypatch.setattr(span_check, "NODE_CAP", 1000)
+    code, out, err = run_cli(capsys, "gen", "--family", "torus", "--r", "7", "--s", "14")
+    assert code == 2 and not out
+    assert err.startswith("error: chain enumeration undecided")
+    assert "Traceback" not in err

@@ -7,6 +7,7 @@ from antipodal.radio import (Coloring, minimality_certificate,
                              ordering_from_sequence, span, verify_radio_k)
 from antipodal import span_check
 from antipodal.span_check import SpanCheckError, check_certified_span
+from antipodal.torus import torus_ac_formula
 
 
 def _library_accepts(r, s, chain):
@@ -109,3 +110,13 @@ def test_node_cap_and_parameters(monkeypatch):
         check_certified_span(3, 12, 60)
     with pytest.raises(ValueError):
         check_certified_span(3, 5, 10)
+
+
+@pytest.mark.parametrize("r,s", [(5, 14), (9, 14), (21, 6)])
+def test_memory_stays_bounded_until_the_node_cap(monkeypatch, r, s):
+    # step (3) leaves about 1.1e15 step-length sequences at T(5,14) and
+    # 2e28 at T(9,14) and T(21,6): it must count them and hand step (4) a
+    # rule, never a list, so that the node cap is what ends the check
+    monkeypatch.setattr(span_check, "NODE_CAP", 1000)
+    with pytest.raises(SpanCheckError):
+        check_certified_span(r, s, torus_ac_formula(r, s).value)
