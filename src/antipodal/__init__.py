@@ -6,19 +6,22 @@ desk-scale instances, and a CLI front end.
 """
 
 from .graphs import (Graph, DistanceMatrix, GraphError, all_pairs_distances,
-                     closed_form_diameter, closed_form_distance, cyclic_distance,
+                     closed_form_diameter, cyclic_distance,
                      distances, make_cartesian_product, make_cycle, make_gp,
                      make_torus)
 from .radio import (Coloring, ColorOrdering, MinimalityCertificate, RadioError,
                     VerificationReport, minimality_certificate, order_by_color,
                     ordering_from_sequence, span, span_identity_residual,
                     verify_radio_k)
-from .results import EXACT, LOWER_BOUND, UPPER_BOUND, FormulaResult, PatternReport
+from .results import (EXACT, LOWER_BOUND, UPPER_BOUND, Construction, FormulaResult,
+                      PatternReport)
 from .gp import (GpCase, gp_ac_formula, gp_antipodal_coloring, gp_case,
                  gp_construction, gp_ordering, validate_gp_ordering)
 from .torus import (TorusCase, TorusError, ConstructionError, modular_residue_set,
                     torus_ac_formula, torus_antipodal_coloring, torus_case,
-                    torus_ordering, triameter_max, validate_torus_ordering)
+                    torus_construction, torus_ordering, triameter_max,
+                    validate_torus_ordering)
+from .families import construct
 from .solver import ExactResult, exact_rc_k, greedy_coloring
 
 __all__ = [name for name in dir() if not name.startswith("_")]

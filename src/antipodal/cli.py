@@ -11,17 +11,15 @@ import csv
 import io
 import json
 import sys
+from math import prod
 
-from .graphs import GraphError, distances, make_cycle
-from .radio import (Coloring, RadioError, minimality_certificate, order_by_color,
+from .graphs import GraphError, closed_form_diameter, distances, family_cycles
+from .radio import (RadioError, minimality_certificate, order_by_color,
                     ordering_from_sequence, span, span_identity_residual,
                     verify_radio_k)
-from .gp import (gp_ac_formula, gp_antipodal_coloring, gp_case, gp_ordering,
-                 validate_gp_ordering)
-from .torus import (LODD, TorusError, torus_ac_formula, torus_antipodal_coloring,
-                    torus_case, torus_ordering, validate_torus_ordering)
+from .torus import ConstructionError, TorusError, torus_case
 from .solver import TIMED_OUT, exact_rc_k
-from . import serialize
+from . import families, serialize
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -31,6 +29,8 @@ EXIT_TIMEOUT = 3
 TABLE_COLUMNS = ["family", "params", "n", "diameter", "k", "case_label",
                  "formula_value", "formula_status", "construction_span",
                  "certificate", "discrepancy"]
+# ``certificate`` of a table row whose size has no construction
+NO_CONSTRUCTION = "NoConstruction"
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -41,33 +41,21 @@ def _write(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _params(args) -> dict:
+    return {name: getattr(args, name) for name in families.FAMILY_PARAMS[args.family]}
+
+
 def _gen_payload(args) -> dict:
-    if args.family == "gp":
-        n = args.n
-        coloring = gp_antipodal_coloring(n)
-        formula = gp_ac_formula(n)
-        meta = {
-            "construction": f"gp/{gp_case(n).label}",
-            "claimed_span": span(coloring),
-            "formula_status": formula.status,
-            "case_label": formula.case_label,
-            "ordering": gp_ordering(n),
-            "discrepancy": formula.discrepancy,
-        }
-        from .graphs import make_gp
-        return serialize.coloring_to_dict(make_gp(n), coloring, meta)
-    coloring = torus_antipodal_coloring(args.r, args.s)
-    formula = torus_ac_formula(args.r, args.s)
+    graph, _, ordering, coloring, formula = families.construct(args.family, **_params(args))
     meta = {
-        "construction": f"torus/{formula.case_label}",
+        "construction": f"{args.family}/{formula.case_label}",
         "claimed_span": span(coloring),
         "formula_status": formula.status,
         "case_label": formula.case_label,
-        "ordering": torus_ordering(args.r, args.s),
+        "ordering": list(ordering.order),
         "discrepancy": formula.discrepancy,
     }
-    from .graphs import make_torus
-    return serialize.coloring_to_dict(make_torus(args.r, args.s), coloring, meta)
+    return serialize.coloring_to_dict(graph, coloring, meta)
 
 
 def cmd_gen(args) -> int:
@@ -77,14 +65,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    if args.family == "gp":
-        from .graphs import make_gp
-        graph = make_gp(args.n)
-    elif args.family == "torus":
-        from .graphs import make_torus
-        graph = make_torus(args.r, args.s)
-    else:
-        graph = make_cycle(args.n)
+    graph = families.make_graph(args.family, _params(args))
     _write(serialize.dumps_canonical(serialize.graph_to_dict(graph)), args.out)
     return EXIT_OK
 
@@ -123,23 +104,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_formula(args) -> int:
-    if args.family == "gp":
-        result = gp_ac_formula(args.n)
-    else:
-        result = torus_ac_formula(args.r, args.s)
+    result = families.formula(args.family, **_params(args))
     _write(serialize.dumps_canonical(serialize.formula_to_dict(result)), args.out)
     return EXIT_OK
 
 
 def cmd_exact(args) -> int:
-    if args.family == "gp":
-        from .graphs import make_gp
-        graph = make_gp(args.n)
-    elif args.family == "torus":
-        from .graphs import make_torus
-        graph = make_torus(args.r, args.s)
-    else:
-        graph = make_cycle(args.n)
+    graph = families.make_graph(args.family, _params(args))
     dist = distances(graph)
     k = args.k if args.k is not None else dist.diameter - 1
     result = exact_rc_k(graph, dist, k, node_budget=args.budget_nodes,
@@ -149,46 +120,22 @@ def cmd_exact(args) -> int:
 
 
 def cmd_validate_ordering(args) -> int:
-    if args.family == "gp":
-        report = validate_gp_ordering(args.n)
-    else:
-        report = validate_torus_ordering(args.r, args.s)
+    report = families.validate(args.family, **_params(args))
     _write(serialize.dumps_canonical(serialize.pattern_to_dict(report)), args.out)
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
-def _gp_row(n: int) -> dict:
-    formula = gp_ac_formula(n)
-    coloring = gp_antipodal_coloring(n)
-    from .graphs import make_gp
-    graph = make_gp(n)
-    dist = distances(graph)
-    ordering = ordering_from_sequence(coloring, dist, gp_ordering(n))
-    cert = minimality_certificate(ordering, dist)
-    return {
-        "family": "gp",
-        "params": f"n={n}",
-        "n": graph.n,
-        "diameter": dist.diameter,
-        "k": coloring.k,
-        "case_label": formula.case_label,
-        "formula_value": formula.value,
-        "formula_status": formula.status,
-        "construction_span": span(coloring),
-        "certificate": cert.status,
-        "discrepancy": formula.discrepancy or "",
-    }
-
-
-def _torus_row(r: int, s: int) -> dict:
-    case = torus_case(r, s)
-    formula = torus_ac_formula(r, s)
+def _row(family: str, params: dict) -> dict:
+    """Formula columns, plus the construction's span and certificate where
+    the size has a construction."""
+    formula = families.formula(family, **params)
+    diameter = closed_form_diameter(family, params)
     row = {
-        "family": "torus",
-        "params": f"r={case.r};s={case.s}",
-        "n": r * s,
-        "diameter": case.diameter,
-        "k": case.diameter - 1,
+        "family": family,
+        "params": ";".join(f"{name}={value}" for name, value in params.items()),
+        "n": prod(family_cycles(family, params)),
+        "diameter": diameter,
+        "k": diameter - 1,
         "case_label": formula.case_label,
         "formula_value": formula.value,
         "formula_status": formula.status,
@@ -196,37 +143,31 @@ def _torus_row(r: int, s: int) -> dict:
         "certificate": "",
         "discrepancy": formula.discrepancy or "",
     }
-    if case.label != LODD:
-        coloring = torus_antipodal_coloring(r, s)
-        from .graphs import make_torus
-        graph = make_torus(r, s)
-        dist = distances(graph)
-        ordering = ordering_from_sequence(coloring, dist, torus_ordering(r, s))
-        cert = minimality_certificate(ordering, dist)
-        row["construction_span"] = span(coloring)
-        row["certificate"] = cert.status
+    try:
+        _, dist, ordering, coloring, _ = families.construct(family, **params)
+    except ConstructionError:
+        row["certificate"] = NO_CONSTRUCTION
+        return row
+    except TorusError:  # odd rs: the formula is only a lower bound
+        return row
+    row["construction_span"] = span(coloring)
+    row["certificate"] = minimality_certificate(ordering, dist).status
     return row
 
 
 def cmd_table(args) -> int:
-    rows = []
     if args.family == "gp":
         if args.n_from is None or args.n_to is None:
             raise UsageError("gp table needs --n-from and --n-to")
-        for n in range(args.n_from, args.n_to + 1):
-            rows.append(_gp_row(n))
+        sizes = [{"n": n} for n in range(args.n_from, args.n_to + 1)]
     else:
         if args.r_max is None or args.s_max is None:
             raise UsageError("torus table needs --r-max and --s-max")
-        seen = set()
-        for r in range(3, args.r_max + 1):
-            for s in range(3, args.s_max + 1):
-                case = torus_case(r, s)
-                key = (case.r, case.s)
-                if key in seen:
-                    continue
-                seen.add(key)
-                rows.append(_torus_row(r, s))
+        # one row per size up to orientation, in the orientation its class uses
+        cases = (torus_case(r, s) for r in range(3, args.r_max + 1)
+                 for s in range(3, args.s_max + 1))
+        sizes = [{"r": r, "s": s} for r, s in dict.fromkeys((c.r, c.s) for c in cases)]
+    rows = [_row(args.family, size) for size in sizes]
     if args.format == "json":
         _write(serialize.dumps_canonical(rows), args.out)
     else:
@@ -256,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="antipodal (radio) colorings of GP(n,1) and toroidal grids")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_family(p, families=("gp", "torus")):
-        p.add_argument("--family", choices=families, required=True)
+    def add_family(p, choices=("gp", "torus")):
+        p.add_argument("--family", choices=choices, required=True)
         p.add_argument("--n", type=int, help="cycle length for gp/cycle")
         p.add_argument("--r", type=int)
         p.add_argument("--s", type=int)
@@ -269,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("graph", help="emit a graph as JSON (edges + labels)")
-    add_family(p, families=("gp", "torus", "cycle"))
+    add_family(p, choices=("gp", "torus", "cycle"))
     p.add_argument("--out")
     p.set_defaults(func=cmd_graph)
 
@@ -284,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_formula)
 
     p = sub.add_parser("exact", help="run the exact branch-and-bound solver")
-    add_family(p, families=("gp", "torus", "cycle"))
+    add_family(p, choices=("gp", "torus", "cycle"))
     p.add_argument("--k", type=int, default=None,
                    help="radio parameter (default: diameter - 1)")
     p.add_argument("--budget-nodes", type=int, default=10 ** 8)
@@ -317,17 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_args(args) -> None:
     if not getattr(args, "needs_params", False):
         return
-    fam = getattr(args, "family", None)
-    if fam == "gp" or fam == "cycle":
-        if getattr(args, "n", None) is None:
-            raise UsageError(f"--family {fam} requires --n")
-        if getattr(args, "r", None) is not None or getattr(args, "s", None) is not None:
-            raise UsageError(f"--family {fam} conflicts with --r/--s")
-    elif fam == "torus":
-        if getattr(args, "r", None) is None or getattr(args, "s", None) is None:
-            raise UsageError("--family torus requires --r and --s")
-        if getattr(args, "n", None) is not None:
-            raise UsageError("--family torus conflicts with --n")
+    required = families.FAMILY_PARAMS[args.family]
+    others = [name for name in ("n", "r", "s") if name not in required]
+    if any(getattr(args, name) is None for name in required):
+        flags = " and ".join(f"--{name}" for name in required)
+        raise UsageError(f"--family {args.family} requires {flags}")
+    if any(getattr(args, name) is not None for name in others):
+        flags = "/".join(f"--{name}" for name in others)
+        raise UsageError(f"--family {args.family} conflicts with {flags}")
 
 
 def main(argv=None) -> int:

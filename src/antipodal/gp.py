@@ -12,12 +12,11 @@ two-step-slack clause.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
-from .graphs import Graph, DistanceMatrix, GraphError, all_pairs_distances, \
-    closed_form_diameter, distances, make_gp
-from .radio import Coloring, ColorOrdering, ordering_from_sequence
-from .results import EXACT, UPPER_BOUND, FormulaResult, PatternReport
+from .graphs import GraphError, all_pairs_distances, closed_form_diameter, \
+    distances, make_gp
+from .radio import Coloring, ordering_from_sequence
+from .results import EXACT, UPPER_BOUND, Construction, FormulaResult, PatternReport
 
 CASE_4T = "4t"
 CASE_4T1 = "4t+1"
@@ -144,13 +143,13 @@ def gp_antipodal_coloring(n: int) -> Coloring:
     return Coloring(colors=tuple(colors), k=k)
 
 
-def gp_construction(n: int) -> tuple[Graph, DistanceMatrix, ColorOrdering, Coloring, FormulaResult]:
+def gp_construction(n: int) -> Construction:
     """Build graph, distances, construction ordering, coloring and formula."""
     graph = make_gp(n)
     dist = distances(graph)
     coloring = gp_antipodal_coloring(n)
     ordering = ordering_from_sequence(coloring, dist, gp_ordering(n))
-    return graph, dist, ordering, coloring, gp_ac_formula(n)
+    return Construction(graph, dist, ordering, coloring, gp_ac_formula(n))
 
 
 def validate_gp_ordering(n: int) -> PatternReport:
@@ -197,11 +196,3 @@ def validate_gp_ordering(n: int) -> PatternReport:
     return PatternReport(ok=not mismatches, pattern=pattern,
                          mismatches=tuple(mismatches))
 
-
-def gp_step_coprimality(n: int) -> bool:
-    """Whether the case's subscript step is coprime to n (trivially true
-    for the block construction)."""
-    case = gp_case(n)
-    if case.label == CASE_4T:
-        return True
-    return gcd(_STEP[case.label](n), n) == 1

@@ -249,7 +249,7 @@ def distances(graph: Graph) -> DistanceMatrix:
     checking that the adjacency is exactly the declared family's edge set;
     any other graph goes to ``all_pairs_distances``.
     """
-    dims = _closed_form_dims(graph)
+    dims = family_dims(graph)
     if dims is None:
         return all_pairs_distances(graph)
     return DistanceMatrix(dist=_cycle_product_distances(dims),
@@ -262,21 +262,31 @@ def _cycle_hops(m: int, a, b):
     return np.minimum(delta, m - delta)
 
 
-def _closed_form_dims(graph: Graph) -> tuple[int, ...] | None:
-    """Cycle lengths of the product the graph's family declares, in the
-    row-major order of its vertex indices, or None unless the adjacency is
-    that product's edge set.  O(V + E).
-    """
-    family, params = graph.family, graph.params
-    if family == "cycle":
-        dims = (params.get("n"),)
-    elif family == "gp":
-        dims = (2, params.get("n"))  # ("x", i) at index i, ("y", i) at n + i
-    elif family == "torus":
-        dims = (params.get("r"), params.get("s"))
-    else:
+# Each built-in family as a Cartesian product of cycles, in the row-major
+# order of its vertex indices; the parameter names are the keys of its params.
+_FAMILY_CYCLES = {
+    "cycle": lambda n: (n,),
+    "gp": lambda n: (2, n),  # ("x", i) at index i, ("y", i) at n + i
+    "torus": lambda r, s: (r, s),
+}
+
+
+def family_cycles(family: str, params: Mapping) -> tuple[int, ...] | None:
+    """Cycle lengths of the product a built-in family is, or None for any
+    other family or for params that do not name one."""
+    try:
+        dims = _FAMILY_CYCLES[family](**params)
+    except (KeyError, TypeError):
         return None
-    if not all(isinstance(m, int) and m >= 2 for m in dims):
+    return dims if all(isinstance(m, int) and m >= 2 for m in dims) else None
+
+
+def family_dims(graph: Graph) -> tuple[int, ...] | None:
+    """``family_cycles`` of the graph's declared family, or None unless its
+    adjacency is that product's edge set.  O(V + E).
+    """
+    dims = family_cycles(graph.family, graph.params)
+    if dims is None:
         return None
     degree = sum(1 if m == 2 else 2 for m in dims)
     if prod(dims) != graph.n or graph.edge_count != graph.n * degree // 2:
@@ -311,43 +321,9 @@ def _cycle_product_distances(dims: tuple[int, ...]) -> np.ndarray:
     return dist
 
 
-def closed_form_distance(family: str, params: Mapping[str, int], u, v) -> int:
-    """Closed-form hop distance for cycles and tori.
-
-    Cycle: min(|i-j|, n-|i-j|).  Torus: coordinatewise sum of cycle terms.
-    Labels out of range are rejected.
-    """
-    if family == "cycle":
-        n = params["n"]
-        if not (isinstance(u, int) and isinstance(v, int)):
-            raise GraphError("cycle labels are integers")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError("cycle label out of range")
-        return cyclic_distance(n, u, v)
-    if family == "torus":
-        r, s = params["r"], params["s"]
-        (i1, j1), (i2, j2) = u, v
-        if not (0 <= i1 < r and 0 <= i2 < r and 0 <= j1 < s and 0 <= j2 < s):
-            raise GraphError("torus label out of range")
-        return cyclic_distance(r, i1, i2) + cyclic_distance(s, j1, j2)
-    raise GraphError(f"no closed-form distance for family {family!r}")
-
-
 def closed_form_diameter(family: str, params: Mapping[str, int]) -> int:
-    """Closed-form diameter for GP(n,1) and for the torus."""
-    if family == "gp":
-        n = params["n"]
-        if n < 3:
-            raise GraphError("GP(n,1) needs n >= 3")
-        return (n + 2) // 2 if n % 2 == 0 else (n + 1) // 2
-    if family == "torus":
-        r, s = params["r"], params["s"]
-        if r < 3 or s < 3:
-            raise GraphError("torus needs r, s >= 3")
-        return r // 2 + s // 2
-    if family == "cycle":
-        n = params["n"]
-        if n < 3:
-            raise GraphError("cycle needs n >= 3")
-        return n // 2
-    raise GraphError(f"no closed-form diameter for family {family!r}")
+    """Diameter of a built-in family: the sum of m // 2 over its cycles."""
+    dims = family_cycles(family, params)
+    if dims is None or min(params.values()) < 3:
+        raise GraphError(f"no closed-form diameter for {family} {dict(params)}")
+    return sum(m // 2 for m in dims)

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
+
+from .graphs import DistanceMatrix, Graph
+from .radio import ColorOrdering, Coloring
 
 EXACT = "Exact"
 UPPER_BOUND = "UpperBound"
@@ -24,6 +28,18 @@ class FormulaResult:
     case_label: str
     printed_value: Fraction | None = None
     discrepancy: str | None = None
+
+
+class Construction(NamedTuple):
+    """A family's construction, each part built once: the graph, its
+    distances, the construction ordering, the coloring it induces and the
+    span formula the coloring attains."""
+
+    graph: Graph
+    dist: DistanceMatrix
+    ordering: ColorOrdering
+    coloring: Coloring
+    formula: FormulaResult
 
 
 @dataclass(frozen=True)

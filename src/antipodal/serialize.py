@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 
-from .graphs import Graph, GraphError, make_cycle, make_gp, make_torus
+from .families import make_graph as graph_from_params
+from .graphs import Graph
 from .radio import Coloring, MinimalityCertificate, VerificationReport
 from .results import FormulaResult, PatternReport
 from .solver import ExactResult
@@ -23,16 +24,6 @@ def label_to_str(label) -> str:
     if isinstance(label, tuple):
         return ":".join(str(part) for part in label)
     return str(label)
-
-
-def graph_from_params(family: str, params: dict) -> Graph:
-    if family == "cycle":
-        return make_cycle(int(params["n"]))
-    if family == "gp":
-        return make_gp(int(params["n"]))
-    if family == "torus":
-        return make_torus(int(params["r"]), int(params["s"]))
-    raise GraphError(f"cannot rebuild family {family!r} from params")
 
 
 def graph_to_dict(graph: Graph) -> dict:

@@ -2,9 +2,9 @@
 
 Depth-first assignment of colors in a fixed vertex order with incumbent
 pruning.  The incumbent is seeded from the antipodal constructions when the
-graph is one of the built-in families (and k = diameter - 1), otherwise
-from a greedy coloring.  Exhaustive by design; intended for graphs of up to
-roughly 14 vertices.
+graph's adjacency is one of the built-in families' edge sets (and
+k = diameter - 1), otherwise from a greedy coloring.  Exhaustive by design;
+intended for graphs of up to roughly 14 vertices.
 """
 
 from __future__ import annotations
@@ -12,15 +12,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .graphs import Graph, DistanceMatrix
+from .families import construct
+from .graphs import Graph, DistanceMatrix, family_dims
 from .radio import Coloring, RadioError, span
+from .torus import TorusError
 
 SOLVED = "Solved"
 TIMED_OUT = "TimedOut"
-
-# Families whose vertex-transitivity makes pinning the first vertex to
-# color 0 a valid symmetry break.
-_TRANSITIVE_FAMILIES = frozenset({"cycle", "gp", "torus"})
 
 
 @dataclass(frozen=True)
@@ -47,25 +45,13 @@ def greedy_coloring(graph: Graph, dist: DistanceMatrix, k: int,
     return Coloring(colors=tuple(colors[v] for v in range(graph.n)), k=k)
 
 
-def _construction_seed(graph: Graph, k: int) -> Coloring | None:
-    if k != closest_antipodal_k(graph):
+def _construction_seed(graph: Graph, dist: DistanceMatrix, k: int) -> Coloring | None:
+    """The family's construction, if it has one, when k = diameter - 1."""
+    if k != dist.diameter - 1:
         return None
-    if graph.family == "gp":
-        from .gp import gp_antipodal_coloring
-        return gp_antipodal_coloring(graph.params["n"])
-    if graph.family == "torus":
-        r, s = graph.params["r"], graph.params["s"]
-        if (r * s) % 2 == 0:
-            from .torus import torus_antipodal_coloring
-            return torus_antipodal_coloring(r, s)
-    return None
-
-
-def closest_antipodal_k(graph: Graph) -> int | None:
-    from .graphs import closed_form_diameter
     try:
-        return closed_form_diameter(graph.family, graph.params) - 1
-    except Exception:
+        return construct(graph.family, **graph.params).coloring
+    except TorusError:  # no construction for this family or size
         return None
 
 
@@ -76,22 +62,21 @@ def exact_rc_k(graph: Graph, dist: DistanceMatrix, k: int,
 
     ``pin_first`` fixes the first vertex's color to 0; sound only under
     vertex transitivity, so the default enables it just for the built-in
-    families.  The search order is descending degree then index; a color c
-    is pruned as soon as c reaches the incumbent span.
+    families, and only when the adjacency is the declared family's edge set
+    (a relabeled graph gets neither the pin nor the construction seed).  The
+    search order is descending degree then index; a color c is pruned as
+    soon as c reaches the incumbent span.
     """
     n = graph.n
     if not 1 <= k <= dist.diameter:
         raise RadioError("k out of range 1..diameter")
+    is_family = family_dims(graph) is not None
     if pin_first is None:
-        pin_first = graph.family in _TRANSITIVE_FAMILIES
+        pin_first = is_family
     order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
 
-    seed = None
-    try:
-        seed = _construction_seed(graph, k)
-    except Exception:
-        seed = None
-    if seed is None or len(seed.colors) != n:
+    seed = _construction_seed(graph, dist, k) if is_family else None
+    if seed is None:
         seed = greedy_coloring(graph, dist, k, order)
     incumbent = span(seed)
     witness = seed

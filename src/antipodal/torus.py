@@ -25,8 +25,9 @@ from math import gcd
 
 from .graphs import (GraphError, all_pairs_distances, cyclic_distance,
                      distances, make_torus)
-from .radio import Coloring, radio_violations
-from .results import EXACT, LOWER_BOUND, UPPER_BOUND, FormulaResult, PatternReport
+from .radio import Coloring, ordering_from_sequence, radio_violations
+from .results import (EXACT, LOWER_BOUND, UPPER_BOUND, Construction, FormulaResult,
+                      PatternReport)
 
 L00 = "(0,0)"
 L10 = "(1,0)"
@@ -412,9 +413,10 @@ def _chain_colors(labels, r, s, deltas=None):
     return colors
 
 
-def _assert_valid_chain(labels, r, s, deltas, expected_span):
+def _assert_valid_chain(labels, r, s, deltas, expected_span, dist):
     """Check the chain's coloring of T(r,s) with the shared radio-condition
-    kernel, plus the permutation, span and monotone-colors invariants.
+    kernel on ``dist``, plus the permutation, span and monotone-colors
+    invariants, and return the colors by vertex index.
 
     The kernel is called directly: a ``verify_radio_k`` call stands for one
     verification of a finished coloring, and the benchmark trace counts it
@@ -427,8 +429,8 @@ def _assert_valid_chain(labels, r, s, deltas, expected_span):
     if got_span != expected_span:
         raise ConstructionError(
             f"construction span {got_span} != formula value {expected_span} for ({r},{s})")
-    violations = radio_violations([colors[divmod(v, s)] for v in range(r * s)],
-                                  r // 2 + s // 2 - 1, distances(make_torus(r, s)))
+    by_vertex = tuple(colors[divmod(v, s)] for v in range(r * s))
+    violations = radio_violations(by_vertex, r // 2 + s // 2 - 1, dist)
     if violations:
         u, v, required, gap = violations[0]
         raise ConstructionError(
@@ -439,7 +441,7 @@ def _assert_valid_chain(labels, r, s, deltas, expected_span):
         if colors[lab] < prev:
             raise ConstructionError(f"colors not monotone along ordering for ({r},{s})")
         prev = colors[lab]
-    return colors
+    return by_vertex
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +503,9 @@ def _block_cascade(builder, label, r, s):
     return None
 
 
-def _normalized_ordering(case: TorusCase) -> tuple[list, list | None]:
-    """Ordering (and per-pair deltas, usually all zero) in normalized space."""
+def _normalized_ordering(case: TorusCase, value: int) -> tuple[list, list | None]:
+    """Ordering (and per-pair deltas, usually all zero) in normalized space;
+    ``value`` is the span the certified-chain fallback must reach."""
     r, s, label = case.r, case.s, case.label
     if label == LODD:
         raise TorusError("no construction for odd rs; only a lower bound")
@@ -534,38 +537,38 @@ def _normalized_ordering(case: TorusCase) -> tuple[list, list | None]:
         labels = _order_22_low(r, s) if r % 8 == 6 else _order_22_high(r, s)
     if labels is not None and _is_permutation(labels, r, s):
         return labels, None
-    return _certified_chain(r, s, torus_ac_formula(r, s).value)
+    return _certified_chain(r, s, value)
 
 
-def _to_original_labels(case: TorusCase, labels):
+def torus_construction(r: int, s: int) -> Construction:
+    """Graph, distances, ordering, antipodal coloring (k = diameter - 1) and
+    formula of T(r,s) for even rs, each built once in the caller's
+    orientation.
+
+    The coloring is validated in full by the shared radio-condition kernel
+    and its span against the class formula before being returned.
+    """
+    case = torus_case(r, s)
+    formula = torus_ac_formula(r, s)
+    labels, deltas = _normalized_ordering(case, formula.value)
     if case.swapped:
-        return [(j, i) for (i, j) in labels]
-    return list(labels)
+        labels = [(j, i) for i, j in labels]
+    graph = make_torus(r, s)
+    dist = distances(graph)
+    colors = _assert_valid_chain(labels, r, s, deltas, formula.value, dist)
+    coloring = Coloring(colors=colors, k=case.diameter - 1)
+    ordering = ordering_from_sequence(coloring, dist, [i * s + j for i, j in labels])
+    return Construction(graph, dist, ordering, coloring, formula)
 
 
 def torus_ordering(r: int, s: int) -> list[int]:
     """Construction ordering v_1..v_rs as indices into make_torus(r, s)."""
-    case = torus_case(r, s)
-    labels, _ = _normalized_ordering(case)
-    return [i * s + j for (i, j) in _to_original_labels(case, labels)]
+    return list(torus_construction(r, s).ordering.order)
 
 
 def torus_antipodal_coloring(r: int, s: int) -> Coloring:
-    """Antipodal coloring (k = diameter - 1) of T(r,s) for even rs.
-
-    The result is validated in full by the shared radio-condition kernel
-    and its span against the class formula before being returned.
-    """
-    case = torus_case(r, s)
-    labels, deltas = _normalized_ordering(case)
-    value = torus_ac_formula(r, s).value
-    colors = _assert_valid_chain(labels, case.r, case.s, deltas, value)
-    out = [0] * (r * s)
-    for lab, c in colors.items():
-        i, j = lab if not case.swapped else (lab[1], lab[0])
-        out[i * s + j] = c
-    k = case.diameter - 1
-    return Coloring(colors=tuple(out), k=k)
+    """Antipodal coloring of T(r,s) for even rs (``torus_construction``)."""
+    return torus_construction(r, s).coloring
 
 
 def torus_ac_formula(r: int, s: int) -> FormulaResult:
@@ -621,7 +624,8 @@ def validate_torus_ordering(r: int, s: int) -> PatternReport:
     colors with non-negative slack, and the telescoped span.
     """
     case = torus_case(r, s)
-    labels, deltas = _normalized_ordering(case)
+    value = torus_ac_formula(r, s).value
+    labels, deltas = _normalized_ordering(case, value)
     a, b = case.r, case.s
     graph = make_torus(a, b)
     dist = all_pairs_distances(graph)
@@ -644,7 +648,6 @@ def validate_torus_ordering(r: int, s: int) -> PatternReport:
                              mismatches=tuple(mismatches))
     # repaired instance: check chain invariants instead
     diam = case.diameter
-    value = torus_ac_formula(r, s).value
     colors = _chain_colors(labels, a, b, deltas)
     for m in range(len(labels) // 2):
         observed = dist.d(idx[2 * m], idx[2 * m + 1])

@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from antipodal import graphs, span_check
 from antipodal.cli import main
 from antipodal.serialize import coloring_to_dot, dumps_canonical
 
@@ -207,9 +209,64 @@ def test_gen_unreachable_published_span_fails_fast(capsys, s):
 
 
 def test_gen_undecided_chain_enumeration_is_an_error(capsys, monkeypatch):
-    from antipodal import span_check
     monkeypatch.setattr(span_check, "NODE_CAP", 1000)
     code, out, err = run_cli(capsys, "gen", "--family", "torus", "--r", "7", "--s", "14")
     assert code == 2 and not out
     assert err.startswith("error: chain enumeration undecided")
     assert "Traceback" not in err
+
+
+def test_torus_table_marks_sizes_without_a_construction(capsys):
+    code, out, _ = run_cli(capsys, "table", "--family", "torus", "--r-max", "3",
+                           "--s-max", "16", "--format", "json")
+    assert code == 0
+    rows = {row["params"]: row for row in json.loads(out)}
+    assert rows["r=3;s=16"]["certificate"] == "NoConstruction"
+    assert rows["r=3;s=16"]["construction_span"] == ""
+    assert rows["r=3;s=16"]["formula_value"] == 104
+    assert (rows["r=3;s=14"]["construction_span"], rows["r=3;s=14"]["certificate"]) \
+        == (80, "Certified")
+    # odd rs has only a lower bound, and no construction is attempted
+    assert (rows["r=3;s=15"]["construction_span"], rows["r=3;s=15"]["certificate"]) \
+        == ("", "")
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Record every call of ``owner.name``, also where an ``antipodal``
+    module has imported it by name."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("antipodal."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_gen_runs_the_chain_enumeration_once(capsys, monkeypatch):
+    checks = _count_calls(monkeypatch, span_check, "check_certified_span")
+    assert run_cli(capsys, "gen", "--family", "torus", "--r", "3", "--s", "14")[0] == 0
+    assert len(checks) == 1
+
+
+def test_gen_builds_one_graph(capsys, monkeypatch):
+    builds = _count_calls(monkeypatch, graphs.Graph, "__post_init__")
+    assert run_cli(capsys, "gen", "--family", "torus", "--r", "40", "--s", "40")[0] == 0
+    assert len(builds) == 1
+
+
+def test_table_computes_distances_once_per_constructed_row(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, graphs, "distances")
+    code, out, _ = run_cli(capsys, "table", "--family", "torus", "--r-max", "12",
+                           "--s-max", "12", "--format", "json")
+    assert code == 0
+    constructed = [row for row in json.loads(out) if row["construction_span"] != ""]
+    assert len(constructed) == 40
+    assert len(calls) == 40

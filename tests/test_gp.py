@@ -7,7 +7,7 @@ from antipodal.radio import minimality_certificate, span, verify_radio_k
 from antipodal.gp import (CASE_4T, CASE_4T1, CASE_4T2_EVEN, CASE_4T2_ODD,
                           CASE_4T3, gp_ac_formula, gp_antipodal_coloring,
                           gp_case, gp_construction, gp_ordering,
-                          gp_step_coprimality, validate_gp_ordering)
+                          validate_gp_ordering)
 from antipodal.results import EXACT, UPPER_BOUND
 
 EXPECTED_SPANS = {3: 2, 4: 6, 5: 8, 6: 15, 7: 12, 8: 21, 9: 24, 10: 36,
@@ -78,8 +78,9 @@ def test_validate_ordering_full_range():
 
 
 def test_step_coprimality_up_to_200():
+    # the sweep covers both cycles: every vertex appears exactly once
     for n in range(3, 201):
-        assert gp_step_coprimality(n), n
+        assert sorted(gp_ordering(n)) == list(range(2 * n)), n
     # spot checks of the published coprimality side conditions
     for n in range(5, 201, 4):
         assert gcd((n - 1) // 4, n) == 1

@@ -3,8 +3,7 @@ import pytest
 
 from antipodal import graphs
 from antipodal.graphs import (Graph, GraphError, all_pairs_distances,
-                              closed_form_diameter, closed_form_distance,
-                              cyclic_distance, distances, make_cartesian_product,
+                              closed_form_diameter, cyclic_distance, distances, make_cartesian_product,
                               make_cycle, make_gp, make_torus)
 
 
@@ -159,21 +158,6 @@ def test_graph_rejects_self_loop_and_asymmetry():
         Graph(n=2, adjacency=((0, 1), (0,)))
     with pytest.raises(GraphError):
         Graph(n=3, adjacency=((1,), (0, 2), ()))
-
-
-def test_closed_form_distance_cycle():
-    assert closed_form_distance("cycle", {"n": 7}, 2, 2) == 0
-    assert closed_form_distance("cycle", {"n": 8}, 0, 4) == 4
-    with pytest.raises(GraphError):
-        closed_form_distance("cycle", {"n": 7}, 0, 7)
-
-
-def test_closed_form_distance_torus():
-    assert closed_form_distance("torus", {"r": 7, "s": 6}, (0, 0), (3, 2)) == 5
-    with pytest.raises(GraphError):
-        closed_form_distance("torus", {"r": 4, "s": 4}, (0, 0), (4, 0))
-    with pytest.raises(GraphError):
-        closed_form_distance("gp", {"n": 5}, 0, 1)
 
 
 def test_closed_form_diameter():

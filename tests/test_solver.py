@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from antipodal.graphs import all_pairs_distances, make_cycle, make_gp, make_torus
+from antipodal.graphs import (Graph, all_pairs_distances, distances, make_cycle,
+                              make_gp, make_torus)
 from antipodal.radio import (RadioError, minimality_certificate, order_by_color,
                              span, verify_radio_k)
 from antipodal.solver import SOLVED, TIMED_OUT, exact_rc_k, greedy_coloring
@@ -63,7 +66,6 @@ def test_k_out_of_range():
 
 def test_shift_invariance_t33():
     # relabeling by a cyclic shift must not change the exact value
-    from antipodal.graphs import Graph
     base = make_torus(3, 3)
     dist = all_pairs_distances(base)
     reference = exact_rc_k(base, dist, 1).value
@@ -110,3 +112,23 @@ def test_certified_constructions_match_solver():
         assert minimality_certificate(ordering, dist).certified
         result = exact_rc_k(graph, dist, coloring.k)
         assert result.status == SOLVED and result.value == formula.value
+
+
+def test_relabeled_family_graph_gets_no_construction_seed():
+    # T(3,4) with permuted vertex indices that still declares family "torus":
+    # the construction's coloring does not fit these indices, so neither it
+    # nor the first-vertex pin may be used
+    base = make_torus(3, 4)
+    rng = random.Random(4)
+    for _ in range(3):
+        perm = list(range(base.n))
+        rng.shuffle(perm)
+        adj = [None] * base.n
+        for u in range(base.n):
+            adj[perm[u]] = tuple(sorted(perm[v] for v in base.adjacency[u]))
+        graph = Graph(n=base.n, adjacency=tuple(adj), family="torus",
+                      params={"r": 3, "s": 4})
+        dist = distances(graph)
+        result = exact_rc_k(graph, dist, dist.diameter - 1)
+        assert result.status == SOLVED and result.value == 8
+        assert verify_radio_k(graph, dist, result.witness).valid
