@@ -16,8 +16,9 @@ and ``graph`` on GP(3..60), GP(200, 400, 600), every torus with
 3 <= r, s <= 12 (odd rs included: those exit with an error), T(3,14),
 T(3,16) (no construction), the larger tori of the benchmark, ``export-dot``
 of the generated files, both JSON tables and the CSV torus table at 12,
-``exact`` on GP(5), T(3,4) and C12, a cycle graph and a few usage
-errors.
+``exact`` on GP(5), T(3,4) and C12, ``exact`` on GP(8) and T(3,6) stopped
+by ``--budget-nodes`` 4096 and 100000 (exit 3), a cycle graph and a few
+usage errors.
 """
 
 import contextlib
@@ -43,6 +44,12 @@ TABLES = [
 ]
 EXACT = [["--family", "gp", "--n", "5"], ["--family", "torus", "--r", "3", "--s", "4"],
          ["--family", "cycle", "--n", "12"]]
+# budgeted runs that stop on the node budget (exit 3): the node count and the
+# incumbent at the stop pin down where the search was when it timed out
+EXACT += [[*family_args, "--budget-nodes", budget]
+          for family_args in (["--family", "gp", "--n", "8"],
+                              ["--family", "torus", "--r", "3", "--s", "6"])
+          for budget in ("4096", "100000")]
 # a cycle graph, and usage errors
 OTHER = [["graph", "--family", "cycle", "--n", "12"],
          ["gen", "--family", "gp"], ["gen", "--family", "gp", "--n", "5", "--r", "3"],

@@ -227,9 +227,12 @@ def all_pairs_distances(graph: Graph) -> DistanceMatrix:
     step = 0
     while frontier.any():
         step += 1
+        # frontier[s, v] = [d(s, v) = step - 1] is symmetric (the adjacency
+        # is), so gathering whole rows, frontier[nbr[:, c]], gives the same
+        # result as gathering columns and reads memory contiguously
         nxt = np.zeros((n, n), dtype=bool)
         for c in range(max_deg):
-            nxt |= frontier[:, nbr[:, c]]
+            nxt |= frontier[nbr[:, c]]
         nxt &= ~reached
         dist[nxt] = step
         reached |= nxt

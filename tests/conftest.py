@@ -1,9 +1,10 @@
-"""Shared helpers: random connected graphs, valid radio colorings and a
-brute-force reference verifier."""
+"""Shared helpers: random connected graphs, valid radio colorings, a
+brute-force reference verifier and a reference exact solver."""
 
 from __future__ import annotations
 
 import random
+import time
 
 from antipodal.graphs import Graph
 
@@ -65,3 +66,88 @@ def reference_verify(graph, dist, coloring):
             if gap < required:
                 violations.append((u, v, required, gap))
     return VerificationReport(valid=not violations, violations=tuple(violations))
+
+
+def reference_exact(graph, dist, k, node_budget=10 ** 8, time_budget=60.0,
+                    pin_first=None):
+    """The exact solver's depth-first search as a plain per-color loop.
+
+    Tries every color of every position against every earlier vertex.  The
+    library's bit-mask search must walk the same tree: the same status,
+    value, lower bound, witness and node count.
+    """
+    from antipodal.graphs import family_dims
+    from antipodal.radio import Coloring, RadioError, span
+    from antipodal.solver import (SOLVED, TIMED_OUT, ExactResult,
+                                  _construction_seed, greedy_coloring)
+
+    n = graph.n
+    if not 1 <= k <= dist.diameter:
+        raise RadioError("k out of range 1..diameter")
+    is_family = family_dims(graph) is not None
+    if pin_first is None:
+        pin_first = is_family
+    order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
+
+    seed = _construction_seed(graph, dist, k) if is_family else None
+    if seed is None:
+        seed = greedy_coloring(graph, dist, k, order)
+    incumbent = span(seed)
+    witness = seed
+
+    # per-vertex constraint rows: (earlier vertex position, required gap)
+    pos_of = {v: i for i, v in enumerate(order)}
+    constraints: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, v in enumerate(order):
+        for u in range(n):
+            if u == v or pos_of[u] > i:
+                continue
+            required = 1 + k - dist.d(u, v)
+            if required > 0:
+                constraints[i].append((pos_of[u], required))
+
+    assigned = [0] * n
+    nodes = 0
+    start = time.monotonic()
+    timed_out = False
+
+    def feasible(i: int, c: int) -> bool:
+        for j, required in constraints[i]:
+            if abs(c - assigned[j]) < required:
+                return False
+        return True
+
+    def dfs(i: int, current_max: int) -> None:
+        nonlocal incumbent, witness, nodes, timed_out
+        if timed_out:
+            return
+        if i == n:
+            if current_max < incumbent:
+                incumbent = current_max
+                out = [0] * n
+                for pos, v in enumerate(order):
+                    out[v] = assigned[pos]
+                witness = Coloring(colors=tuple(out), k=k)
+            return
+        top = incumbent  # colors >= incumbent cannot improve
+        if i == 0 and pin_first:
+            top = 1
+        for c in range(top):
+            nodes += 1
+            if nodes % 4096 == 0 and (nodes > node_budget or
+                                      time.monotonic() - start > time_budget):
+                timed_out = True
+                return
+            if max(current_max, c) >= incumbent:
+                break
+            if feasible(i, c):
+                assigned[i] = c
+                dfs(i + 1, max(current_max, c))
+        return
+
+    dfs(0, 0)
+    elapsed = time.monotonic() - start
+    if timed_out:
+        lower = max(0, (n - 1) * (k + 1 - dist.diameter), min(k, incumbent))
+        return ExactResult(TIMED_OUT, incumbent, lower, witness, nodes, elapsed)
+    return ExactResult(SOLVED, incumbent, incumbent, witness, nodes, elapsed)

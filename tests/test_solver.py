@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import random_connected_graph, reference_exact
 
 from antipodal.graphs import (Graph, all_pairs_distances, distances, make_cycle,
                               make_gp, make_torus)
@@ -87,6 +88,39 @@ def test_budget_timeout_reports_bounds():
     assert result.status == TIMED_OUT
     assert result.lower_bound <= result.value
     assert verify_radio_k(g, dist, result.witness).valid
+
+
+def _outcome(result):
+    return (result.status, result.value, result.lower_bound,
+            result.witness.colors, result.nodes)
+
+
+def test_bit_mask_search_walks_the_reference_tree():
+    # same status, value, lower bound, witness and node count as the
+    # color-by-color reference, in both branches of every pin and on both
+    # sides of the node-count multiples where the budget is read
+    rng = random.Random(6)
+    cases = []
+    for n in (3, 4, 5, 6, 7, 8, 9, 6, 7, 8, 9):
+        graph = random_connected_graph(rng, n)
+        dist = all_pairs_distances(graph)
+        for k in range(1, dist.diameter + 1):
+            for pin in (None, True, False):
+                for budget in (1, 4095, 4096, 4097, 12289, 10 ** 8):
+                    cases.append((graph, dist, k, {"pin_first": pin, "node_budget": budget}))
+    families = ([make_cycle(n) for n in range(3, 13)] + [make_gp(n) for n in range(3, 8)]
+                + [make_torus(3, 3), make_torus(3, 4), make_torus(4, 4)])
+    for graph in families:
+        dist = distances(graph)
+        for k in range(1, dist.diameter + 1):
+            cases.append((graph, dist, k, {"node_budget": 12289}))
+    timed_out = 0
+    for graph, dist, k, kw in cases:
+        expected = reference_exact(graph, dist, k, time_budget=float("inf"), **kw)
+        got = exact_rc_k(graph, dist, k, time_budget=float("inf"), **kw)
+        assert _outcome(got) == _outcome(expected), (graph.n, k, kw)
+        timed_out += got.status == TIMED_OUT
+    assert timed_out > 0
 
 
 def test_greedy_coloring_is_valid():
