@@ -11,6 +11,14 @@ produce byte-identical output on every operation listed here:
     python3 scripts/cli_digest.py > a.txt   # in each checkout
     diff a.txt b.txt
 
+``scripts/cli_digest.txt`` holds the expected digest, so a change meant
+to keep the CLI's output byte-stable is checked with
+
+    python3 scripts/cli_digest.py | diff - scripts/cli_digest.txt
+
+(about 5 s).  A change that alters output on purpose regenerates the file
+and says why.
+
 The operations are ``gen``, ``verify``, ``formula``, ``validate-ordering``
 and ``graph`` on GP(3..60), GP(200, 400, 600), every torus with
 3 <= r, s <= 12 (odd rs included: those exit with an error), T(3,14),

@@ -17,10 +17,9 @@ from .results import (EXACT, LOWER_BOUND, UPPER_BOUND, Construction, FormulaResu
                       PatternReport)
 from .gp import (GpCase, gp_ac_formula, gp_antipodal_coloring, gp_case,
                  gp_construction, gp_ordering, validate_gp_ordering)
-from .torus import (TorusCase, TorusError, ConstructionError, modular_residue_set,
-                    torus_ac_formula, torus_antipodal_coloring, torus_case,
-                    torus_construction, torus_ordering, triameter_max,
-                    validate_torus_ordering)
+from .torus import (TorusCase, TorusError, ConstructionError, torus_ac_formula,
+                    torus_antipodal_coloring, torus_case, torus_construction,
+                    torus_ordering, triameter_max, validate_torus_ordering)
 from .families import construct
 from .solver import ExactResult, exact_rc_k, greedy_coloring
 

@@ -40,7 +40,7 @@ def formula(family: str, **params) -> FormulaResult:
 
 
 def validate(family: str, **params) -> PatternReport:
-    """The construction ordering's distance pattern, re-derived by BFS."""
+    """The emitted ordering's distance pattern, scanned on BFS distances."""
     if family == "gp":
         return validate_gp_ordering(**params)
     if family == "torus":
@@ -50,8 +50,8 @@ def validate(family: str, **params) -> PatternReport:
 
 def construct(family: str, **params) -> Construction:
     """The family's construction record.  Raises ``ConstructionError`` (a
-    ``TorusError``) where the family has no construction, and
-    ``TorusError`` for a torus with odd rs."""
+    ``TorusError``) where the family has no construction or a construction
+    fails its check, and ``TorusError`` for a torus with odd rs."""
     if family == "gp":
         return gp_construction(**params)
     if family == "torus":

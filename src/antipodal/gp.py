@@ -3,20 +3,22 @@
 Emits, per residue class of n, an explicit vertex ordering whose odd/even
 consecutive distances alternate between the diameter and a short constant,
 the matching antipodal coloring (k = diameter - 1), and the closed-form
-span.  Every class except n = 4t+2 with t even yields a coloring that the
-minimality certificate accepts, pinning the antipodal number exactly; the
-remaining class only gives an upper bound and its certificate fails at the
-two-step-slack clause.
+span.  Every construction passes ``results.checked_construction`` before
+it is returned; ``validate_gp_ordering`` scans the emitted ordering on BFS
+distances.  Every class except n = 4t+2 with t even yields a coloring that
+the minimality certificate accepts, pinning the antipodal number exactly;
+the remaining class only gives an upper bound and its certificate fails at
+the two-step-slack clause.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import GraphError, all_pairs_distances, closed_form_diameter, \
-    distances, make_gp
-from .radio import Coloring, ordering_from_sequence
-from .results import EXACT, UPPER_BOUND, Construction, FormulaResult, PatternReport
+from .graphs import GraphError, all_pairs_distances, distances, make_gp
+from .radio import Coloring
+from .results import (EXACT, UPPER_BOUND, Construction, FormulaResult, PatternReport,
+                      checked_construction, pattern_mismatches)
 
 CASE_4T = "4t"
 CASE_4T1 = "4t+1"
@@ -126,73 +128,51 @@ def gp_ordering(n: int) -> list[int]:
 
 
 def gp_antipodal_coloring(n: int) -> Coloring:
-    """Antipodal coloring (k = diameter - 1) following the case rule.
-
-    Each consecutive pair shares a color; every even -> odd step adds the
-    case increment, so the span is (n - 1) times the increment, which equals
-    the closed-form branch value.
-    """
-    case = gp_case(n)
-    inc = _INCREMENT[case.label](n)
-    colors = [0] * (2 * n)
-    seq = gp_ordering(n)
-    for j in range(n):
-        colors[seq[2 * j]] = j * inc
-        colors[seq[2 * j + 1]] = j * inc
-    k = closed_form_diameter("gp", {"n": n}) - 1
-    return Coloring(colors=tuple(colors), k=k)
+    """Antipodal coloring (k = diameter - 1) of GP(n,1) (``gp_construction``)."""
+    return gp_construction(n).coloring
 
 
 def gp_construction(n: int) -> Construction:
-    """Build graph, distances, construction ordering, coloring and formula."""
+    """Graph, distances, construction ordering, coloring and formula.
+
+    Each consecutive pair shares a color; every even -> odd step adds the
+    case increment, so the span is (n - 1) times the increment, which equals
+    the closed-form branch value.  The construction check runs before the
+    record is returned.
+    """
     graph = make_gp(n)
     dist = distances(graph)
-    coloring = gp_antipodal_coloring(n)
-    ordering = ordering_from_sequence(coloring, dist, gp_ordering(n))
-    return Construction(graph, dist, ordering, coloring, gp_ac_formula(n))
+    seq = gp_ordering(n)
+    inc = _INCREMENT[gp_case(n).label](n)
+    colors = [0] * (2 * n)
+    for position, v in enumerate(seq):
+        colors[v] = position // 2 * inc
+    coloring = Coloring(colors=tuple(colors), k=dist.diameter - 1)
+    return checked_construction(graph, dist, seq, coloring, gp_ac_formula(n))
 
 
 def validate_gp_ordering(n: int) -> PatternReport:
-    """Recompute the ordering's distance pattern from BFS and compare.
+    """Scan the emitted ordering's distance pattern on BFS distances.
 
-    Checks the permutation property, the alternation of consecutive
-    distances between the diameter and the case's short constant, the
-    two-step distances, and that each (v_{2j+1}, v_{2j+2}) is antipodal.
+    Consecutive distances alternate between the diameter (each
+    (v_{2j-1}, v_{2j}) is antipodal) and the case's short constant; two-step
+    distances equal the case's subscript step, or for n = 4t alternate
+    between n/4 and at least n/4.
     """
     case = gp_case(n)
-    graph = make_gp(n)
-    dist = all_pairs_distances(graph)
+    construction = gp_construction(n)
+    dist = all_pairs_distances(construction.graph)
     diam = dist.diameter
-    seq = gp_ordering(n)
     short = _SHORT_DISTANCE[case.label](n)
-    mismatches: list[tuple[str, int, object, object]] = []
-    if sorted(seq) != list(range(2 * n)):
-        mismatches.append(("permutation", 0, "all vertices once", "repeats or gaps"))
-    for j in range(1, 2 * n):  # ordinal step j -> j+1 (1-based)
-        observed = dist.d(seq[j - 1], seq[j])
-        expected = diam if j % 2 == 1 else short
-        if observed != expected:
-            mismatches.append(("consecutive-distance", j, expected, observed))
     if case.label == CASE_4T:
         q = n // 4
-        for j in range(1, 2 * n - 1):
-            observed = dist.d(seq[j - 1], seq[j + 1])
-            if j % 2 == 1 and observed != q:
-                mismatches.append(("two-step-distance", j, q, observed))
-            if j % 2 == 0 and observed < q:
-                mismatches.append(("two-step-distance", j, f">={q}", observed))
+        two = lambda j: q if j % 2 == 1 else ("ge", q)
     else:
         step = _STEP[case.label](n)
-        for j in range(1, 2 * n - 1):
-            observed = dist.d(seq[j - 1], seq[j + 1])
-            if observed != step:
-                mismatches.append(("two-step-distance", j, step, observed))
-    for j in range(0, 2 * n, 2):
-        observed = dist.d(seq[j], seq[j + 1])
-        if observed != diam:
-            mismatches.append(("antipodal-pair", j + 1, diam, observed))
+        two = lambda j: step
+    checks = (lambda j: diam if j % 2 == 0 else short, two, lambda j: None)
+    mismatches = pattern_mismatches(construction.ordering.order, dist.d, checks)
     pattern = (f"gp case {case.label}: consecutive distances alternate "
                f"{diam} and {short}")
     return PatternReport(ok=not mismatches, pattern=pattern,
                          mismatches=tuple(mismatches))
-

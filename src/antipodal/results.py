@@ -1,13 +1,18 @@
-"""Status-carrying result types shared by the construction modules."""
+"""Status-carrying result types shared by the construction modules, the
+check every GP and torus construction passes before it is returned
+(``checked_construction``), and the scan of an ordering's distance pattern
+against a clause table (``pattern_mismatches``).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .graphs import DistanceMatrix, Graph
-from .radio import ColorOrdering, Coloring
+from .graphs import DistanceMatrix, Graph, GraphError
+from .radio import (ColorOrdering, Coloring, ordering_from_sequence,
+                    radio_violations, span)
 
 EXACT = "Exact"
 UPPER_BOUND = "UpperBound"
@@ -28,6 +33,16 @@ class FormulaResult:
     case_label: str
     printed_value: Fraction | None = None
     discrepancy: str | None = None
+
+
+class TorusError(GraphError):
+    """Raised for unsupported torus parameters or failed constructions."""
+
+
+class ConstructionError(TorusError):
+    """Raised when a construction fails its own validation, or a size has
+    no construction.  A ``TorusError``, so that callers which skip sizes
+    without a construction need one except clause for both families."""
 
 
 class Construction(NamedTuple):
@@ -54,3 +69,63 @@ class PatternReport:
     ok: bool
     pattern: str
     mismatches: tuple[tuple[str, int, object, object], ...]
+
+
+def checked_construction(graph: Graph, dist: DistanceMatrix, order,
+                         coloring: Coloring, formula: FormulaResult) -> Construction:
+    """The construction record, once it passes the construction check:
+    ``order`` is a permutation, ``coloring`` satisfies the radio condition,
+    its span is the formula value and its colors never decrease along
+    ``order``.  Raises ``ConstructionError`` at the first failure, in that
+    order.
+
+    The radio-condition kernel is called directly: a ``verify_radio_k`` call
+    stands for one verification of a finished coloring, and the benchmark
+    trace counts it as such.
+    """
+    where = "(" + ",".join(str(value) for value in graph.params.values()) + ")"
+    if sorted(order) != list(range(graph.n)):
+        raise ConstructionError(f"ordering is not a permutation for {where}")
+    violations = radio_violations(coloring.colors, coloring.k, dist)
+    if violations:
+        u, v, required, gap = violations[0]
+        raise ConstructionError(
+            f"antipodal condition fails between {graph.label_of(u)} and "
+            f"{graph.label_of(v)} (color gap {gap} < {required}) for {where}")
+    if span(coloring) != formula.value:
+        raise ConstructionError(f"construction span {span(coloring)} != "
+                                f"formula value {formula.value} for {where}")
+    colors = coloring.colors
+    if any(colors[u] > colors[v] for u, v in zip(order, order[1:])):
+        raise ConstructionError(f"colors not monotone along ordering for {where}")
+    ordering = ordering_from_sequence(coloring, dist, order)
+    return Construction(graph, dist, ordering, coloring, formula)
+
+
+_PATTERN_KINDS = ("consecutive-distance", "two-step-distance", "three-step-distance")
+
+
+def pattern_mismatches(order, d: Callable, checks: tuple[Callable, Callable, Callable]
+                       ) -> list[tuple[str, int, object, object]]:
+    """Scan ``order`` against a clause table of expected distances.
+
+    ``checks`` holds three callables of a 1-based position j, giving the
+    expected d(v_j, v_{j-1}), d(v_j, v_{j-2}) and d(v_j, v_{j-3}): an int
+    for an exact claim, ("ge", bound) for a lower bound, or None for no
+    claim.  ``d`` maps two entries of ``order`` to their distance.  Returns
+    every (kind, j, expected, observed) that breaks its claim, j being the
+    later position, by kind and then by j.
+    """
+    mismatches = []
+    for back, (kind, clause) in enumerate(zip(_PATTERN_KINDS, checks), start=1):
+        for j in range(back + 1, len(order) + 1):
+            expected = clause(j)
+            if expected is None:
+                continue
+            observed = d(order[j - 1], order[j - 1 - back])
+            if isinstance(expected, tuple):
+                if observed < expected[1]:
+                    mismatches.append((kind, j, f">={expected[1]}", observed))
+            elif observed != expected:
+                mismatches.append((kind, j, expected, observed))
+    return mismatches

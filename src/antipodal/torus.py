@@ -13,8 +13,10 @@ handful of small sizes need repaired orderings (generalized copy shifts, a
 zigzag row sweep, or the first certified pair chain that the exhaustive
 enumeration of ``antipodal.span_check`` finds) because the literal formulas
 double-cover vertices or their seam distances degenerate.
-Every constructor validates its output and fails loudly rather than emit a
-bad ordering.
+Every construction passes ``results.checked_construction`` before it is
+returned, and fails loudly with ``ConstructionError`` rather than emit a bad
+ordering; ``validate_torus_ordering`` scans the emitted ordering on BFS
+distances.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .graphs import (GraphError, all_pairs_distances, cyclic_distance,
-                     distances, make_torus)
-from .radio import Coloring, ordering_from_sequence, radio_violations
-from .results import (EXACT, LOWER_BOUND, UPPER_BOUND, Construction, FormulaResult,
-                      PatternReport)
+from .graphs import all_pairs_distances, cyclic_distance, distances, make_torus
+from .radio import Coloring
+from .results import (EXACT, LOWER_BOUND, UPPER_BOUND, Construction,
+                      ConstructionError, FormulaResult, PatternReport, TorusError,
+                      checked_construction, pattern_mismatches)
 
 L00 = "(0,0)"
 L10 = "(1,0)"
@@ -38,14 +40,6 @@ L12 = "(1,2)"
 L22H = "(2,2)-homogeneous"
 L22M = "(2,2)-mixed"
 LODD = "odd-odd"
-
-
-class TorusError(GraphError):
-    """Raised for unsupported parameters or failed constructions."""
-
-
-class ConstructionError(TorusError):
-    """Raised when a construction fails its own validation."""
 
 
 @dataclass(frozen=True)
@@ -94,23 +88,6 @@ def torus_case(r: int, s: int) -> TorusCase:
             if a % 8 == 6 and b % 8 == 2:
                 return TorusCase(a, b, L22M, swapped)
     raise TorusError(f"unclassifiable pair ({r}, {s})")  # pragma: no cover
-
-
-def modular_residue_set(n: int, step: int, offset: int = 0) -> tuple[frozenset[int], bool]:
-    """{(i*step + offset) mod n : i = 0..n/p - 1} with p = gcd(n, step).
-
-    The flag asserts the advertised cardinality n/p; the residues of an
-    arithmetic progression with this length are always distinct.
-    """
-    if not 0 < step < n:
-        raise TorusError("need n > step > 0")
-    p = gcd(n, step)
-    values = frozenset((i * step + offset) % n for i in range(n // p))
-    return values, len(values) == n // p
-
-
-def _tdist(r: int, s: int, u: tuple[int, int], v: tuple[int, int]) -> int:
-    return cyclic_distance(r, u[0], v[0]) + cyclic_distance(s, u[1], v[1])
 
 
 # ---------------------------------------------------------------------------
@@ -366,82 +343,13 @@ def _published_checks(label, r, s):
     raise TorusError(f"no pattern table for {label}")  # pragma: no cover
 
 
-def _pattern_mismatches(labels, r, s, checks):
-    step_fn, two_fn, three_fn = checks
-    mism = []
-
-    def compare(kind, j, expected, observed):
-        if expected is None:
-            return
-        if isinstance(expected, tuple):  # ("ge", bound)
-            if observed < expected[1]:
-                mism.append((kind, j, f">={expected[1]}", observed))
-        elif observed != expected:
-            mism.append((kind, j, expected, observed))
-
-    n = len(labels)
-    for j in range(2, n + 1):
-        compare("consecutive-distance", j, step_fn(j),
-                _tdist(r, s, labels[j - 1], labels[j - 2]))
-    for j in range(3, n + 1):
-        compare("two-step-distance", j, two_fn(j),
-                _tdist(r, s, labels[j - 1], labels[j - 3]))
-    for j in range(4, n + 1):
-        compare("three-step-distance", j, three_fn(j),
-                _tdist(r, s, labels[j - 1], labels[j - 4]))
-    return mism
-
-
-# ---------------------------------------------------------------------------
-# pair-chain coloring and its validity check
-# ---------------------------------------------------------------------------
-
-def _chain_colors(labels, r, s, deltas=None):
-    """Colors per label: pairs share a color up to the pair's delta, and the
-    color of the next pair grows by diam - d(A_m, A_{m+1})."""
-    diam = r // 2 + s // 2
-    pairs = len(labels) // 2
-    if deltas is None:
-        deltas = [0] * pairs
-    colors = {}
-    g = 0
-    for m in range(pairs):
-        colors[labels[2 * m]] = g
-        colors[labels[2 * m + 1]] = g + deltas[m]
-        if m + 1 < pairs:
-            g += diam - _tdist(r, s, labels[2 * m], labels[2 * m + 2])
-    return colors
-
-
-def _assert_valid_chain(labels, r, s, deltas, expected_span, dist):
-    """Check the chain's coloring of T(r,s) with the shared radio-condition
-    kernel on ``dist``, plus the permutation, span and monotone-colors
-    invariants, and return the colors by vertex index.
-
-    The kernel is called directly: a ``verify_radio_k`` call stands for one
-    verification of a finished coloring, and the benchmark trace counts it
-    as such.
-    """
-    if not _is_permutation(labels, r, s):
-        raise ConstructionError(f"ordering is not a permutation for ({r},{s})")
-    colors = _chain_colors(labels, r, s, deltas)
-    got_span = max(colors.values())
-    if got_span != expected_span:
-        raise ConstructionError(
-            f"construction span {got_span} != formula value {expected_span} for ({r},{s})")
-    by_vertex = tuple(colors[divmod(v, s)] for v in range(r * s))
-    violations = radio_violations(by_vertex, r // 2 + s // 2 - 1, dist)
-    if violations:
-        u, v, required, gap = violations[0]
-        raise ConstructionError(
-            f"antipodal condition fails between {divmod(u, s)} and {divmod(v, s)} "
-            f"(color gap {gap} < {required}) for ({r},{s})")
-    prev = -1
-    for lab in labels:
-        if colors[lab] < prev:
-            raise ConstructionError(f"colors not monotone along ordering for ({r},{s})")
-        prev = colors[lab]
-    return by_vertex
+def _fits_published(labels, r, s, label) -> bool:
+    """Whether normalized ``labels`` cover T(r,s) once and satisfy the
+    class's published pattern on closed-form distances."""
+    def d(u, v):
+        return cyclic_distance(r, u[0], v[0]) + cyclic_distance(s, u[1], v[1])
+    return (_is_permutation(labels, r, s)
+            and not pattern_mismatches(labels, d, _published_checks(label, r, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +395,8 @@ def _block_cascade(builder, label, r, s):
     The copy shift only has to fix the block seams; every candidate is
     accepted solely by the published distance pattern.
     """
-    checks = _published_checks(label, r, s)
     first = builder(r, s, (1, 1))
-    if _is_permutation(first, r, s) and not _pattern_mismatches(first, r, s, checks):
+    if _fits_published(first, r, s, label):
         return first
     if s // 4 <= 1:
         return None
@@ -498,7 +405,7 @@ def _block_cascade(builder, label, r, s):
             continue
         for c1 in range(r):
             cand = builder(r, s, (c1, c2))
-            if _is_permutation(cand, r, s) and not _pattern_mismatches(cand, r, s, checks):
+            if _fits_published(cand, r, s, label):
                 return cand
     return None
 
@@ -520,8 +427,7 @@ def _normalized_ordering(case: TorusCase, value: int) -> tuple[list, list | None
         cand, deltas = _order_30(r, s)
         if (r, s) in _CERTIFIED_SPAN_OVERRIDES:
             return cand, deltas  # certified chain; seams run one short
-        if _is_permutation(cand, r, s) and not _pattern_mismatches(
-                cand, r, s, _published_checks(label, r, s)):
+        if _fits_published(cand, r, s, label):
             return cand, deltas
     elif label == L32:
         if s % 8 == 2:
@@ -540,13 +446,24 @@ def _normalized_ordering(case: TorusCase, value: int) -> tuple[list, list | None
     return _certified_chain(r, s, value)
 
 
+def _chain_colors(order, deltas, dist):
+    """Colors by vertex: pairs share a color up to the pair's delta, and the
+    color of the next pair grows by diam - d(A_m, A_{m+1})."""
+    colors = [0] * len(order)
+    g = 0
+    for m in range(0, len(order), 2):
+        if m:
+            g += dist.diameter - dist.d(order[m - 2], order[m])
+        colors[order[m]] = g
+        colors[order[m + 1]] = g + (deltas[m // 2] if deltas else 0)
+    return colors
+
+
 def torus_construction(r: int, s: int) -> Construction:
     """Graph, distances, ordering, antipodal coloring (k = diameter - 1) and
     formula of T(r,s) for even rs, each built once in the caller's
-    orientation.
-
-    The coloring is validated in full by the shared radio-condition kernel
-    and its span against the class formula before being returned.
+    orientation.  The construction check runs before the record is
+    returned.
     """
     case = torus_case(r, s)
     formula = torus_ac_formula(r, s)
@@ -555,10 +472,10 @@ def torus_construction(r: int, s: int) -> Construction:
         labels = [(j, i) for i, j in labels]
     graph = make_torus(r, s)
     dist = distances(graph)
-    colors = _assert_valid_chain(labels, r, s, deltas, formula.value, dist)
-    coloring = Coloring(colors=colors, k=case.diameter - 1)
-    ordering = ordering_from_sequence(coloring, dist, [i * s + j for i, j in labels])
-    return Construction(graph, dist, ordering, coloring, formula)
+    order = [i * s + j for i, j in labels]
+    coloring = Coloring(colors=tuple(_chain_colors(order, deltas, dist)),
+                        k=case.diameter - 1)
+    return checked_construction(graph, dist, order, coloring, formula)
 
 
 def torus_ordering(r: int, s: int) -> list[int]:
@@ -615,50 +532,25 @@ def torus_ac_formula(r: int, s: int) -> FormulaResult:
 
 
 def validate_torus_ordering(r: int, s: int) -> PatternReport:
-    """Recompute the ordering's distance pattern from BFS and compare.
+    """Scan the emitted ordering's distance pattern on BFS distances.
 
-    Instances built from a published per-class formula are compared clause
-    by clause against that class's pattern; repaired sizes (where the
-    published clause set is unsatisfiable) are checked against the pair
-    chain invariants: permutation, consecutive antipodal pairs, monotone
-    colors with non-negative slack, and the telescoped span.
+    Sizes built from a published per-class formula satisfy that class's
+    clause set.  On repaired sizes, where the published clause set is
+    unsatisfiable, only the pair-chain clause is claimed: consecutive pairs
+    are antipodal (the construction check has already covered the
+    permutation, the colors and the span).
     """
     case = torus_case(r, s)
-    value = torus_ac_formula(r, s).value
-    labels, deltas = _normalized_ordering(case, value)
-    a, b = case.r, case.s
-    graph = make_torus(a, b)
-    dist = all_pairs_distances(graph)
-    idx = [i * b + j for (i, j) in labels]
-    mismatches: list[tuple[str, int, object, object]] = []
-    if not _is_permutation(labels, a, b):
-        mismatches.append(("permutation", 0, "all vertices once", "repeats or gaps"))
-
-    checks = _published_checks(case.label, a, b)
-    published_mism = _pattern_mismatches(labels, a, b, checks)
-    # cross-check the closed-form pattern scan against BFS distances
-    for j in range(2, a * b + 1):
-        cf = _tdist(a, b, labels[j - 1], labels[j - 2])
-        bfs = dist.d(idx[j - 1], idx[j - 2])
-        if cf != bfs:  # pragma: no cover - closed form equals BFS
-            mismatches.append(("closed-form-vs-bfs", j, bfs, cf))
-    if not published_mism:
+    construction = torus_construction(r, s)
+    dist = all_pairs_distances(construction.graph)
+    order = construction.ordering.order
+    if not pattern_mismatches(order, dist.d, _published_checks(case.label, case.r, case.s)):
         pattern = f"torus class {case.label}: published clause set (a)-(d)"
-        return PatternReport(ok=not mismatches, pattern=pattern,
-                             mismatches=tuple(mismatches))
-    # repaired instance: check chain invariants instead
-    diam = case.diameter
-    colors = _chain_colors(labels, a, b, deltas)
-    for m in range(len(labels) // 2):
-        observed = dist.d(idx[2 * m], idx[2 * m + 1])
-        if observed != diam:
-            mismatches.append(("antipodal-pair", 2 * m + 1, diam, observed))
-    seq_colors = [colors[lab] for lab in labels]
-    if any(c2 < c1 for c1, c2 in zip(seq_colors, seq_colors[1:])):
-        mismatches.append(("monotone-colors", 0, "non-decreasing", "decrease"))
-    if max(seq_colors) != value:
-        mismatches.append(("span", 0, value, max(seq_colors)))
-    pattern = (f"torus class {case.label}: repaired pair chain for ({a},{b}) "
+        return PatternReport(ok=True, pattern=pattern, mismatches=())
+    pairs = (lambda j: case.diameter if j % 2 == 0 else None,
+             lambda j: None, lambda j: None)
+    mismatches = pattern_mismatches(order, dist.d, pairs)
+    pattern = (f"torus class {case.label}: repaired pair chain for ({case.r},{case.s}) "
                f"(published clause set unsatisfiable at this size)")
     return PatternReport(ok=not mismatches, pattern=pattern,
                          mismatches=tuple(mismatches))

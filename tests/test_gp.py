@@ -2,13 +2,15 @@ from math import gcd
 
 import pytest
 
+from antipodal import gp
+from antipodal.cli import main
 from antipodal.graphs import all_pairs_distances, make_gp
 from antipodal.radio import minimality_certificate, span, verify_radio_k
 from antipodal.gp import (CASE_4T, CASE_4T1, CASE_4T2_EVEN, CASE_4T2_ODD,
                           CASE_4T3, gp_ac_formula, gp_antipodal_coloring,
                           gp_case, gp_construction, gp_ordering,
                           validate_gp_ordering)
-from antipodal.results import EXACT, UPPER_BOUND
+from antipodal.results import EXACT, UPPER_BOUND, ConstructionError
 
 EXPECTED_SPANS = {3: 2, 4: 6, 5: 8, 6: 15, 7: 12, 8: 21, 9: 24, 10: 36,
                   11: 30, 12: 44, 13: 48, 14: 65, 15: 56, 16: 75, 17: 80,
@@ -46,6 +48,20 @@ def test_construction_verifies_and_matches_formula(n):
         assert cert.status == "CriterionFailed"
     else:
         assert cert.certified
+
+
+def test_construction_check_rejects_a_short_increment(monkeypatch, capsys):
+    # one less than the case increment breaks the radio condition; the check
+    # names the offending vertices by their ("x", i) / ("y", i) labels
+    increment = gp._INCREMENT[CASE_4T]
+    monkeypatch.setitem(gp._INCREMENT, CASE_4T, lambda n: increment(n) - 1)
+    with pytest.raises(ConstructionError, match=r"antipodal condition fails between "
+                       r"\('[xy]', \d+\) and \('[xy]', \d+\) \(color gap \d+ < \d+\) for \(8\)"):
+        gp_construction(8)
+    # validate-ordering checks the emitted construction, so it fails as gen does
+    for command in ("gen", "validate-ordering"):
+        assert main([command, "--family", "gp", "--n", "8"]) == 2
+        assert "antipodal condition fails" in capsys.readouterr().err
 
 
 def test_ordering_is_permutation_3_to_24():

@@ -10,7 +10,7 @@ from antipodal.radio import (Coloring, minimality_certificate,
                              span_identity_residual, verify_radio_k)
 from antipodal.results import EXACT, LOWER_BOUND
 from antipodal.torus import (L00, L10, L12, L20, L22H, L22M, L30, L32, LODD,
-                             TorusError, modular_residue_set, torus_ac_formula,
+                             TorusError, torus_ac_formula,
                              torus_antipodal_coloring, torus_case,
                              torus_ordering, triameter_max,
                              validate_torus_ordering)
@@ -37,17 +37,6 @@ def test_case_classification():
     assert (c106.r, c106.s, c106.label, c106.swapped) == (6, 10, L22M, True)
     c48 = torus_case(4, 8)
     assert (c48.r, c48.s, c48.swapped) == (8, 4, True)
-
-
-def test_modular_residue_set_examples():
-    values, distinct = modular_residue_set(8, 5, 0)
-    assert distinct and len(values) == 8
-    values, distinct = modular_residue_set(6, 2, 1)
-    assert distinct and values == frozenset({1, 3, 5})
-    values, distinct = modular_residue_set(9, 3, 0)
-    assert distinct and values == frozenset({0, 3, 6})
-    with pytest.raises(TorusError):
-        modular_residue_set(5, 5, 0)
 
 
 def test_formula_examples():
@@ -142,8 +131,9 @@ def test_validate_reports_published_vs_repaired():
 
 
 def test_validate_full_range_and_rule_set_census():
-    # every even-rs size up to 12 validates; only the four sizes where the
-    # published clause sets are unsatisfiable fall back to the chain rules
+    # every even-rs size up to 12 validates in both orientations, with the
+    # same rule set; only the four sizes where the published clause sets
+    # are unsatisfiable fall back to the chain rules
     repaired = set()
     seen = set()
     for r in range(3, 13):
@@ -156,6 +146,9 @@ def test_validate_full_range_and_rule_set_census():
             seen.add((case.r, case.s))
             report = validate_torus_ordering(r, s)
             assert report.ok, (r, s, report.mismatches[:3])
+            swapped = validate_torus_ordering(s, r)
+            assert swapped.ok, (s, r, swapped.mismatches[:3])
+            assert swapped.pattern == report.pattern, (r, s)
             if "repaired" in report.pattern:
                 repaired.add((case.r, case.s))
     assert repaired == {(3, 6), (5, 6), (3, 8), (3, 12)}
