@@ -5,8 +5,8 @@ colorings, closed-form span formulas, an exact branch-and-bound solver for
 desk-scale instances, and a CLI front end.
 """
 
-from .graphs import (Graph, DistanceMatrix, GraphError, all_pairs_distances,
-                     closed_form_diameter, cyclic_distance,
+from .graphs import (CycleProductDistances, Graph, DistanceMatrix, GraphError,
+                     all_pairs_distances, closed_form_diameter, cyclic_distance,
                      distances, make_cartesian_product, make_cycle, make_gp,
                      make_torus)
 from .radio import (Coloring, ColorOrdering, MinimalityCertificate, RadioError,

@@ -49,9 +49,9 @@ def validate(family: str, **params) -> PatternReport:
 
 
 def construct(family: str, **params) -> Construction:
-    """The family's construction record.  Raises ``ConstructionError`` (a
-    ``TorusError``) where the family has no construction or a construction
-    fails its check, and ``TorusError`` for a torus with odd rs."""
+    """The family's construction record.  Raises ``ConstructionError`` where
+    the family has no construction or a construction fails its check, and
+    ``TorusError`` for a torus with odd rs."""
     if family == "gp":
         return gp_construction(**params)
     if family == "torus":

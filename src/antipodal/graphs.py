@@ -1,9 +1,12 @@
 """Graph families and exact distance computation.
 
-Builds cycles, generalized Petersen graphs GP(n,1), toroidal grids and
-Cartesian products as immutable adjacency structures, and computes exact
-hop distances: ``distances`` uses the closed form for cycles, GP(n,1) and
-tori and breadth-first search (``all_pairs_distances``) for anything else.
+Builds cycles, generalized Petersen graphs GP(n,1) = K_2 x C_n and toroidal
+grids C_r x C_s as products of cycles, each vertex's neighbour row written
+directly, and Cartesian products of any two graphs, as immutable adjacency
+structures.  ``distances`` computes exact hop distances: closed-form lookups
+(``CycleProductDistances``, two hop tables and no V x V array) for the
+built-in families, and breadth-first search (``all_pairs_distances``) for
+anything else.
 """
 
 from __future__ import annotations
@@ -114,6 +117,25 @@ class DistanceMatrix:
         return int(self.dist.shape[0])
 
 
+class CycleProductDistances:
+    """Closed-form hop distances of C_r x C_s, vertex u at (u // s, u % s):
+    the cycle terms add.  A cycle C_n is C_1 x C_n and GP(n,1) is C_2 x C_n,
+    with ("x", i) at index i and ("y", i) at n + i."""
+
+    def __init__(self, r: int, s: int) -> None:
+        self.r, self.s, self.n, self.diameter = r, s, r * s, r // 2 + s // 2
+        self._hops_r = [min(i, r - i) for i in range(r)]
+        self._hops_s = [min(j, s - j) for j in range(s)]
+
+    def d(self, u: int, v: int) -> int:
+        s = self.s
+        return self._hops_r[(u // s - v // s) % self.r] + self._hops_s[(u - v) % s]
+
+
+# What ``distances`` returns; both give d(u, v), diameter and n.
+Distances = DistanceMatrix | CycleProductDistances
+
+
 def _assert_connected(adjacency) -> None:
     n = len(adjacency)
     seen = bytearray(n)
@@ -131,81 +153,67 @@ def _assert_connected(adjacency) -> None:
         raise GraphError("graph is not connected")
 
 
-def _from_edge_set(n, edge_set, labels, family, params) -> Graph:
-    adj = [[] for _ in range(n)]
-    for u, v in edge_set:
-        adj[u].append(v)
-        adj[v].append(u)
-    adjacency = tuple(tuple(sorted(row)) for row in adj)
-    return Graph(n=n, adjacency=adjacency, labels=labels, family=family, params=params)
+def _cycle_product_graph(family, params, labels) -> Graph:
+    """The built-in family's product of cycles (``family_cycles``) in the
+    row-major order of its vertex indices, each vertex's sorted neighbour
+    row written directly: +/-1 on each axis mod m."""
+    dims = family_cycles(family, params)
+    size = prod(dims)
+    u = np.arange(size)
+    columns = []
+    stride = size
+    for m in dims:
+        stride //= m
+        c = u // stride % m
+        steps = (1,) if m == 2 else (1, -1)  # C_2 is K_2: one neighbour
+        columns += [u + ((c + step) % m - c) * stride for step in steps]
+    rows = np.sort(np.stack(columns, axis=1), axis=1).tolist()
+    return Graph(n=size, adjacency=tuple(map(tuple, rows)), labels=labels,
+                 family=family, params=params)
 
 
 def make_cycle(n: int) -> Graph:
     """Cycle C_n with vertex i adjacent to (i +/- 1) mod n."""
     if n < 3:
         raise GraphError("cycle needs n >= 3")
-    edges = {(i, (i + 1) % n) for i in range(n)}
-    edges = {(min(u, v), max(u, v)) for u, v in edges}
-    labels = {i: i for i in range(n)}
-    return _from_edge_set(n, edges, labels, "cycle", {"n": n})
+    return _cycle_product_graph("cycle", {"n": n}, {i: i for i in range(n)})
 
 
 def make_gp(n: int) -> Graph:
-    """Generalized Petersen graph GP(n,1): two n-cycles joined by spokes.
+    """Generalized Petersen graph GP(n,1) = K_2 x C_n: two n-cycles joined
+    by spokes.
 
     Outer-cycle vertices are labeled ("x", i) at index i, inner-cycle
     vertices ("y", i) at index n + i.
     """
     if n < 3:
         raise GraphError("GP(n,1) needs n >= 3")
-    edges = set()
-    for i in range(n):
-        j = (i + 1) % n
-        edges.add((min(i, j), max(i, j)))                  # outer cycle
-        edges.add((min(n + i, n + j), max(n + i, n + j)))  # inner cycle
-        edges.add((i, n + i))                              # spoke
     labels = {("x", i): i for i in range(n)}
     labels.update({("y", i): n + i for i in range(n)})
-    return _from_edge_set(2 * n, edges, labels, "gp", {"n": n})
+    return _cycle_product_graph("gp", {"n": n}, labels)
 
 
 def make_torus(r: int, s: int) -> Graph:
     """Toroidal grid C_r x C_s with vertices labeled (i, j), 4-regular."""
     if r < 3 or s < 3:
         raise GraphError("torus needs r, s >= 3")
-    def idx(i, j):
-        return (i % r) * s + (j % s)
-    edges = set()
-    for i in range(r):
-        for j in range(s):
-            u = idx(i, j)
-            for v in (idx(i + 1, j), idx(i, j + 1)):
-                edges.add((min(u, v), max(u, v)))
-    labels = {(i, j): idx(i, j) for i in range(r) for j in range(s)}
-    return _from_edge_set(r * s, edges, labels, "torus", {"r": r, "s": s})
+    labels = {(i, j): i * s + j for i in range(r) for j in range(s)}
+    return _cycle_product_graph("torus", {"r": r, "s": s}, labels)
 
 
 def make_cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product: (u1,v1)~(u2,v2) iff equal in one coordinate and
     adjacent in the other.  Labels carry the pair structure."""
-    n = g.n * h.n
-    def idx(a, b):
-        return a * h.n + b
-    edges = set()
-    for a in range(g.n):
-        for b in range(h.n):
-            u = idx(a, b)
-            for a2 in g.adjacency[a]:
-                v = idx(a2, b)
-                edges.add((min(u, v), max(u, v)))
-            for b2 in h.adjacency[b]:
-                v = idx(a, b2)
-                edges.add((min(u, v), max(u, v)))
-    labels = {(g.label_of(a), h.label_of(b)): idx(a, b)
-              for a in range(g.n) for b in range(h.n)}
-    return _from_edge_set(n, edges, labels, "product",
-                          {"left": (g.family, dict(g.params)),
-                           "right": (h.family, dict(h.params))})
+    m = h.n
+    adjacency = tuple(
+        tuple(sorted([a2 * m + b for a2 in g.adjacency[a]]
+                     + [a * m + b2 for b2 in h.adjacency[b]]))
+        for a in range(g.n) for b in range(m))
+    labels = {(g.label_of(a), h.label_of(b)): a * m + b
+              for a in range(g.n) for b in range(m)}
+    return Graph(n=g.n * m, adjacency=adjacency, labels=labels, family="product",
+                 params={"left": (g.family, dict(g.params)),
+                         "right": (h.family, dict(h.params))})
 
 
 def all_pairs_distances(graph: Graph) -> DistanceMatrix:
@@ -242,21 +250,21 @@ def all_pairs_distances(graph: Graph) -> DistanceMatrix:
     return DistanceMatrix(dist=dist, diameter=int(dist.max()))
 
 
-def distances(graph: Graph) -> DistanceMatrix:
-    """Exact all-pairs hop distances: closed form where the graph is a
-    built-in family, breadth-first search otherwise.
+def distances(graph: Graph) -> Distances:
+    """Exact hop distances: closed form where the graph is a built-in
+    family, breadth-first search otherwise.
 
     Cycles, GP(n,1) = K_2 x C_n and tori C_r x C_s are Cartesian products of
-    cycles (K_2 being the cycle on two vertices, distance-wise), so their
-    distances add coordinatewise.  The closed form is used only after
-    checking that the adjacency is exactly the declared family's edge set;
-    any other graph goes to ``all_pairs_distances``.
+    at most two cycles (K_2 being the cycle on two vertices, distance-wise),
+    so ``CycleProductDistances`` answers each lookup from two hop tables and
+    no V x V array is built.  The closed form is used only after checking
+    that the adjacency is exactly the declared family's edge set; any other
+    graph goes to ``all_pairs_distances``.
     """
     dims = family_dims(graph)
     if dims is None:
         return all_pairs_distances(graph)
-    return DistanceMatrix(dist=_cycle_product_distances(dims),
-                          diameter=sum(m // 2 for m in dims))
+    return CycleProductDistances(*((1,) + dims)[-2:])
 
 
 def _cycle_hops(m: int, a, b):
@@ -267,6 +275,7 @@ def _cycle_hops(m: int, a, b):
 
 # Each built-in family as a Cartesian product of cycles, in the row-major
 # order of its vertex indices; the parameter names are the keys of its params.
+# The builders, the adjacency check and the closed-form distances all read it.
 _FAMILY_CYCLES = {
     "cycle": lambda n: (n,),
     "gp": lambda n: (2, n),  # ("x", i) at index i, ("y", i) at n + i
@@ -301,27 +310,6 @@ def family_dims(graph: Graph) -> tuple[int, ...] | None:
     hops = sum(_cycle_hops(m, a, b) for m, a, b in
                zip(dims, np.unravel_index(u, dims), np.unravel_index(v, dims)))
     return dims if (hops == 1).all() else None
-
-
-def _cycle_product_distances(dims: tuple[int, ...]) -> np.ndarray:
-    """int32 distance matrix of C_{m_1} x ... x C_{m_k}, row-major indices.
-
-    Written in place through a 2k-axis view of the one V x V array; each
-    cycle term is a circulant read as a sliding-window view, so nothing
-    else of size V^2 is allocated.
-    """
-    size = prod(dims)
-    dist = np.zeros((size, size), dtype=np.int32)
-    grid = dist.reshape(dims + dims)
-    k = len(dims)
-    for axis, m in enumerate(dims):
-        row = _cycle_hops(m, np.arange(m, dtype=np.int32), 0)
-        # circulant[i, j] = row[(j - i) % m] = window m - i of row + row
-        circulant = np.lib.stride_tricks.sliding_window_view(
-            np.concatenate([row, row]), m)[m:0:-1]
-        others = tuple(a for a in range(2 * k) if a not in (axis, k + axis))
-        grid += np.expand_dims(circulant, others)
-    return dist
 
 
 def closed_form_diameter(family: str, params: Mapping[str, int]) -> int:

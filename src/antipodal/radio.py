@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import DistanceMatrix, Graph
+from .graphs import Distances, Graph
 
 CLAUSE_DIAMETRAL = "diametral-pair"
 CLAUSE_TWO_STEP = "two-step-slack"
@@ -82,7 +82,7 @@ class ColorOrdering:
         return self.epsilons[position - 2]
 
 
-def _epsilons(order, colors, k, dist: DistanceMatrix) -> tuple[int, ...]:
+def _epsilons(order, colors, k, dist: Distances) -> tuple[int, ...]:
     eps = []
     for j in range(1, len(order)):
         u, v = order[j - 1], order[j]
@@ -90,7 +90,7 @@ def _epsilons(order, colors, k, dist: DistanceMatrix) -> tuple[int, ...]:
     return tuple(eps)
 
 
-def ordering_from_sequence(coloring: Coloring, dist: DistanceMatrix,
+def ordering_from_sequence(coloring: Coloring, dist: Distances,
                            order) -> ColorOrdering:
     """Wrap an explicit color-non-decreasing vertex sequence.
 
@@ -109,7 +109,7 @@ def ordering_from_sequence(coloring: Coloring, dist: DistanceMatrix,
                          epsilons=_epsilons(order, colors, coloring.k, dist))
 
 
-def order_by_color(coloring: Coloring, dist: DistanceMatrix) -> ColorOrdering:
+def order_by_color(coloring: Coloring, dist: Distances) -> ColorOrdering:
     """Canonical ordering: stable sort by (color, vertex index)."""
     order = tuple(sorted(range(coloring.n), key=lambda v: (coloring.colors[v], v)))
     return ColorOrdering(order=order, colors=coloring.colors, k=coloring.k,
@@ -117,7 +117,7 @@ def order_by_color(coloring: Coloring, dist: DistanceMatrix) -> ColorOrdering:
 
 
 def radio_violations(colors, k: int,
-                     dist: DistanceMatrix) -> tuple[tuple[int, int, int, int], ...]:
+                     dist: Distances) -> tuple[tuple[int, int, int, int], ...]:
     """Every vertex pair breaking |g(u) - g(v)| >= 1 + k - d(u, v), sorted,
     as (u, v, required gap, actual gap) with u < v.
 
@@ -142,7 +142,7 @@ def radio_violations(colors, k: int,
     return tuple(violations)
 
 
-def verify_radio_k(graph: Graph, dist: DistanceMatrix, coloring: Coloring,
+def verify_radio_k(graph: Graph, dist: Distances, coloring: Coloring,
                    k: int | None = None) -> VerificationReport:
     """Check the radio condition on all vertex pairs (``radio_violations``)."""
     if k is None:
@@ -157,7 +157,7 @@ def verify_radio_k(graph: Graph, dist: DistanceMatrix, coloring: Coloring,
     return VerificationReport(valid=not violations, violations=violations)
 
 
-def span_identity_residual(ordering: ColorOrdering, dist: DistanceMatrix,
+def span_identity_residual(ordering: ColorOrdering, dist: Distances,
                            k: int | None = None) -> int:
     """span - [(n-1)(k+1) - sum of step distances + sum of slacks].
 
@@ -186,7 +186,7 @@ class MinimalityCertificate:
 
 
 def minimality_certificate(ordering: ColorOrdering,
-                           dist: DistanceMatrix) -> MinimalityCertificate:
+                           dist: Distances) -> MinimalityCertificate:
     """Check the sufficient minimality condition for antipodal colorings.
 
     Requires k = diameter - 1.  For even n, every odd ordinal j <= n-3 must

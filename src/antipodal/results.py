@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .graphs import DistanceMatrix, Graph, GraphError
+from .graphs import Distances, Graph, GraphError
 from .radio import (ColorOrdering, Coloring, ordering_from_sequence,
                     radio_violations, span)
 
@@ -36,13 +36,13 @@ class FormulaResult:
 
 
 class TorusError(GraphError):
-    """Raised for unsupported torus parameters or failed constructions."""
+    """Raised for unsupported torus parameters, and for odd rs, where a
+    torus has no construction."""
 
 
-class ConstructionError(TorusError):
-    """Raised when a construction fails its own validation, or a size has
-    no construction.  A ``TorusError``, so that callers which skip sizes
-    without a construction need one except clause for both families."""
+class ConstructionError(GraphError):
+    """Raised when a construction of either family fails its own
+    validation, or a size has no construction."""
 
 
 class Construction(NamedTuple):
@@ -51,7 +51,7 @@ class Construction(NamedTuple):
     span formula the coloring attains."""
 
     graph: Graph
-    dist: DistanceMatrix
+    dist: Distances
     ordering: ColorOrdering
     coloring: Coloring
     formula: FormulaResult
@@ -71,7 +71,7 @@ class PatternReport:
     mismatches: tuple[tuple[str, int, object, object], ...]
 
 
-def checked_construction(graph: Graph, dist: DistanceMatrix, order,
+def checked_construction(graph: Graph, dist: Distances, order,
                          coloring: Coloring, formula: FormulaResult) -> Construction:
     """The construction record, once it passes the construction check:
     ``order`` is a permutation, ``coloring`` satisfies the radio condition,

@@ -18,9 +18,9 @@ import time
 from dataclasses import dataclass
 
 from .families import construct
-from .graphs import Graph, DistanceMatrix, family_dims
+from .graphs import Graph, Distances, family_dims
 from .radio import Coloring, RadioError, span
-from .torus import TorusError
+from .results import ConstructionError, TorusError
 
 SOLVED = "Solved"
 TIMED_OUT = "TimedOut"
@@ -36,7 +36,7 @@ class ExactResult:
     elapsed: float
 
 
-def greedy_coloring(graph: Graph, dist: DistanceMatrix, k: int,
+def greedy_coloring(graph: Graph, dist: Distances, k: int,
                     order=None) -> Coloring:
     """First-fit coloring along ``order``; always valid, rarely minimal."""
     if order is None:
@@ -50,17 +50,17 @@ def greedy_coloring(graph: Graph, dist: DistanceMatrix, k: int,
     return Coloring(colors=tuple(colors[v] for v in range(graph.n)), k=k)
 
 
-def _construction_seed(graph: Graph, dist: DistanceMatrix, k: int) -> Coloring | None:
+def _construction_seed(graph: Graph, dist: Distances, k: int) -> Coloring | None:
     """The family's construction, if it has one, when k = diameter - 1."""
     if k != dist.diameter - 1:
         return None
     try:
         return construct(graph.family, **graph.params).coloring
-    except TorusError:  # no construction for this family or size
+    except (ConstructionError, TorusError):  # no construction for this family or size
         return None
 
 
-def exact_rc_k(graph: Graph, dist: DistanceMatrix, k: int,
+def exact_rc_k(graph: Graph, dist: Distances, k: int,
                node_budget: int = 10 ** 8, time_budget: float = 60.0,
                pin_first: bool | None = None) -> ExactResult:
     """Minimum span over all radio k-colorings, with a witness.

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .graphs import all_pairs_distances, cyclic_distance, distances, make_torus
+from .graphs import (CycleProductDistances, GraphError, all_pairs_distances, distances,
+                     make_torus)
 from .radio import Coloring
 from .results import (EXACT, LOWER_BOUND, UPPER_BOUND, Construction,
                       ConstructionError, FormulaResult, PatternReport, TorusError,
@@ -346,10 +347,10 @@ def _published_checks(label, r, s):
 def _fits_published(labels, r, s, label) -> bool:
     """Whether normalized ``labels`` cover T(r,s) once and satisfy the
     class's published pattern on closed-form distances."""
-    def d(u, v):
-        return cyclic_distance(r, u[0], v[0]) + cyclic_distance(s, u[1], v[1])
+    order = [i * s + j for i, j in labels]
     return (_is_permutation(labels, r, s)
-            and not pattern_mismatches(labels, d, _published_checks(label, r, s)))
+            and not pattern_mismatches(order, CycleProductDistances(r, s).d,
+                                       _published_checks(label, r, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -556,17 +557,11 @@ def validate_torus_ordering(r: int, s: int) -> PatternReport:
                          mismatches=tuple(mismatches))
 
 
-def triameter_max(r: int, s: int, budget: int = 225) -> int:
-    """Exhaustive max of d(u,v) + d(v,w) + d(w,u) over all vertex triples.
+def triameter_max(r: int, s: int) -> int:
+    """Max of d(u,v) + d(v,w) + d(w,u) over all vertex triples of T(r,s).
 
-    Always at most r + s.  ``budget`` caps the vertex count of the
-    enumeration; larger inputs are rejected.
+    The triameter of C_m is m, and it adds over Cartesian factors: r + s.
     """
-    if r * s > budget:
-        raise TorusError(f"triple enumeration budget exceeded: {r * s} > {budget}")
-    dist = distances(make_torus(r, s)).dist
-    best = 0
-    for w in range(r * s):
-        total = dist[:, [w]] + dist[[w], :] + dist
-        best = max(best, int(total.max()))
-    return best
+    if r < 3 or s < 3:
+        raise GraphError("torus needs r, s >= 3")
+    return r + s

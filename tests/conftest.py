@@ -151,3 +151,72 @@ def reference_exact(graph, dist, k, node_budget=10 ** 8, time_budget=60.0,
         lower = max(0, (n - 1) * (k + 1 - dist.diameter), min(k, incumbent))
         return ExactResult(TIMED_OUT, incumbent, lower, witness, nodes, elapsed)
     return ExactResult(SOLVED, incumbent, incumbent, witness, nodes, elapsed)
+
+
+def reference_triameter(r, s):
+    """Max of d(u,v) + d(v,w) + d(w,u) over all vertex triples of T(r,s),
+    by exhaustive enumeration on BFS distances."""
+    from antipodal.graphs import all_pairs_distances, make_torus
+
+    dist = all_pairs_distances(make_torus(r, s)).dist
+    best = 0
+    for w in range(r * s):
+        total = dist[:, [w]] + dist[[w], :] + dist
+        best = max(best, int(total.max()))
+    return best
+
+
+def _from_edge_set(n, edge_set, labels):
+    adj = [[] for _ in range(n)]
+    for u, v in edge_set:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(tuple(sorted(row)) for row in adj), labels
+
+
+def reference_cycle(n):
+    """Adjacency and labels of C_n, built from its edge set."""
+    edges = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
+    return _from_edge_set(n, edges, {i: i for i in range(n)})
+
+
+def reference_gp(n):
+    """Adjacency and labels of GP(n,1), built from its edge set."""
+    edges = set()
+    for i in range(n):
+        j = (i + 1) % n
+        edges.add((min(i, j), max(i, j)))                  # outer cycle
+        edges.add((min(n + i, n + j), max(n + i, n + j)))  # inner cycle
+        edges.add((i, n + i))                              # spoke
+    labels = {("x", i): i for i in range(n)}
+    labels.update({("y", i): n + i for i in range(n)})
+    return _from_edge_set(2 * n, edges, labels)
+
+
+def reference_torus(r, s):
+    """Adjacency and labels of T(r,s), built from its edge set."""
+    def idx(i, j):
+        return (i % r) * s + (j % s)
+    edges = set()
+    for i in range(r):
+        for j in range(s):
+            u = idx(i, j)
+            for v in (idx(i + 1, j), idx(i, j + 1)):
+                edges.add((min(u, v), max(u, v)))
+    labels = {(i, j): idx(i, j) for i in range(r) for j in range(s)}
+    return _from_edge_set(r * s, edges, labels)
+
+
+def reference_cartesian_product(g, h):
+    """Adjacency and labels of g x h, built from its edge set."""
+    def idx(a, b):
+        return a * h.n + b
+    edges = set()
+    for a in range(g.n):
+        for b in range(h.n):
+            u = idx(a, b)
+            for v in [idx(a2, b) for a2 in g.adjacency[a]] + [idx(a, b2) for b2 in h.adjacency[b]]:
+                edges.add((min(u, v), max(u, v)))
+    labels = {(g.label_of(a), h.label_of(b)): idx(a, b)
+              for a in range(g.n) for b in range(h.n)}
+    return _from_edge_set(g.n * h.n, edges, labels)

@@ -23,7 +23,7 @@ from antipodal.torus import (L20, LODD, torus_ac_formula,
 from antipodal.solver import SOLVED, exact_rc_k
 from antipodal.span_check import SpanCheckError, check_certified_span
 
-from conftest import greedy_valid_coloring, random_connected_graph
+from conftest import greedy_valid_coloring, random_connected_graph, reference_triameter
 
 GP_EXACT_NS = [3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17, 19, 20, 21, 23, 24]
 
@@ -268,8 +268,9 @@ def test_criterion_7_triameter():
     for r in range(3, 10):
         for s in range(3, 10):
             value = triameter_max(r, s)
-            if value > r + s:
-                failures.append(f"({r},{s}): triameter {value} > {r + s}")
+            if value != reference_triameter(r, s):
+                failures.append(f"({r},{s}): triameter {value} != "
+                                f"{reference_triameter(r, s)} by enumeration")
     if triameter_max(3, 3) != 6:
         failures.append("T(3,3) must attain 6")
     _report("criterion-7 triameter", started, 60.0, failures)

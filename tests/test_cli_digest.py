@@ -1,0 +1,25 @@
+"""Byte-stability of the CLI: a subset of ``scripts/cli_digest.py``'s
+operations must print exactly the lines recorded in
+``scripts/cli_digest.txt``."""
+
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+sys.path.insert(0, str(SCRIPTS))
+
+import cli_digest  # noqa: E402
+
+
+def test_graph_and_table_output_matches_recorded_digest(capsys):
+    operations = [(f"GP({n})", ["--family", "gp", "--n", str(n)]) for n in range(3, 61)]
+    operations += [(f"T({r},{s})", ["--family", "torus", "--r", str(r), "--s", str(s)])
+                   for r in range(3, 13) for s in range(3, 13)]
+    for name, family_args in operations:
+        cli_digest.report(f"graph {name}", ["graph", *family_args])
+    for argv in cli_digest.TABLES:
+        cli_digest.report(f"table {argv[2]} {argv[-1]}", argv)
+    lines = capsys.readouterr().out.splitlines()
+    recorded = set((SCRIPTS / "cli_digest.txt").read_text().splitlines())
+    assert len(lines) == len(operations) + len(cli_digest.TABLES) == 161
+    assert [line for line in lines if line not in recorded] == []

@@ -10,7 +10,7 @@ from antipodal.gp import (CASE_4T, CASE_4T1, CASE_4T2_EVEN, CASE_4T2_ODD,
                           CASE_4T3, gp_ac_formula, gp_antipodal_coloring,
                           gp_case, gp_construction, gp_ordering,
                           validate_gp_ordering)
-from antipodal.results import EXACT, UPPER_BOUND, ConstructionError
+from antipodal.results import EXACT, UPPER_BOUND, ConstructionError, TorusError
 
 EXPECTED_SPANS = {3: 2, 4: 6, 5: 8, 6: 15, 7: 12, 8: 21, 9: 24, 10: 36,
                   11: 30, 12: 44, 13: 48, 14: 65, 15: 56, 16: 75, 17: 80,
@@ -56,8 +56,10 @@ def test_construction_check_rejects_a_short_increment(monkeypatch, capsys):
     increment = gp._INCREMENT[CASE_4T]
     monkeypatch.setitem(gp._INCREMENT, CASE_4T, lambda n: increment(n) - 1)
     with pytest.raises(ConstructionError, match=r"antipodal condition fails between "
-                       r"\('[xy]', \d+\) and \('[xy]', \d+\) \(color gap \d+ < \d+\) for \(8\)"):
+                       r"\('[xy]', \d+\) and \('[xy]', \d+\) \(color gap \d+ < \d+\) for \(8\)") as info:
         gp_construction(8)
+    # a failed GP construction is not reported as a torus error
+    assert not isinstance(info.value, TorusError)
     # validate-ordering checks the emitted construction, so it fails as gen does
     for command in ("gen", "validate-ordering"):
         assert main([command, "--family", "gp", "--n", "8"]) == 2

@@ -1,10 +1,16 @@
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from antipodal import graphs
-from antipodal.graphs import (Graph, GraphError, all_pairs_distances,
+from antipodal.graphs import (CycleProductDistances, Graph, GraphError, all_pairs_distances,
                               closed_form_diameter, cyclic_distance, distances, make_cartesian_product,
                               make_cycle, make_gp, make_torus)
+
+from conftest import (random_connected_graph, reference_cartesian_product, reference_cycle,
+                      reference_gp, reference_torus)
 
 
 def test_cycle_smallest_is_triangle():
@@ -108,9 +114,9 @@ def test_distance_matrix_invariants():
 def _assert_same_distances(graph, bfs=None):
     got = distances(graph)
     bfs = all_pairs_distances(graph) if bfs is None else bfs
-    assert got.dist.dtype == bfs.dist.dtype == np.int32
-    assert got.dist.shape == bfs.dist.shape
-    assert (got.dist == bfs.dist).all()
+    assert got.n == bfs.n == graph.n
+    rows = bfs.dist.tolist()
+    assert all(got.d(u, v) == row[v] for u, row in enumerate(rows) for v in range(graph.n))
     assert got.diameter == bfs.diameter
 
 
@@ -125,6 +131,33 @@ def test_closed_form_distances_equal_bfs(monkeypatch):
     monkeypatch.setattr(graphs, "all_pairs_distances", no_bfs)
     for graph, bfs in zip(built_in, references):
         _assert_same_distances(graph, bfs)
+
+
+def test_closed_form_distances_build_no_square_array():
+    # an int32 V x V matrix of either graph would take 381 MB
+    for graph in (make_torus(100, 100), make_gp(5000)):
+        tracemalloc.start()
+        try:
+            dist = distances(graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(dist, CycleProductDistances)
+        assert peak < 16 * 2 ** 20, (graph.family, graph.params, peak)
+
+
+def test_builders_match_edge_set_references():
+    cases = [(make_cycle(n), reference_cycle(n)) for n in range(3, 61)]
+    cases += [(make_gp(n), reference_gp(n)) for n in range(3, 61)]
+    cases += [(make_torus(r, s), reference_torus(r, s))
+              for r in range(3, 16) for s in range(3, 16)]
+    factors = [_k2(), make_cycle(3), make_cycle(4), make_gp(3),
+               random_connected_graph(random.Random(1), 5)]
+    cases += [(make_cartesian_product(g, h), reference_cartesian_product(g, h))
+              for g in factors for h in factors]
+    for graph, (adjacency, labels) in cases:
+        assert graph.adjacency == adjacency, (graph.family, graph.params)
+        assert list(graph.labels.items()) == list(labels.items()), (graph.family, graph.params)
 
 
 def test_distances_fall_back_to_bfs_when_family_does_not_match():

@@ -13,7 +13,7 @@ def test_construction_check_rejects_a_reversed_ordering():
     with pytest.raises(ConstructionError,
                        match=r"colors not monotone along ordering for \(5\)") as info:
         checked_construction(graph, dist, reversed_order, coloring, formula)
-    # callers that skip sizes without a construction catch TorusError only
+    # a failed construction is a ConstructionError (a GraphError), not a RadioError
     assert not isinstance(info.value, RadioError)
 
 

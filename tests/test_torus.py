@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from antipodal.graphs import all_pairs_distances, make_torus
+from antipodal.graphs import GraphError, all_pairs_distances, make_torus
 from antipodal.radio import (Coloring, minimality_certificate,
                              ordering_from_sequence, span,
                              span_identity_residual, verify_radio_k)
@@ -14,6 +14,8 @@ from antipodal.torus import (L00, L10, L12, L20, L22H, L22M, L30, L32, LODD,
                              torus_antipodal_coloring, torus_case,
                              torus_ordering, triameter_max,
                              validate_torus_ordering)
+
+from conftest import reference_triameter
 
 # one representative per construction class, plus every repaired size
 REPRESENTATIVES = [(4, 4), (8, 4), (5, 4), (5, 8), (6, 4), (3, 4), (7, 8),
@@ -179,9 +181,9 @@ def test_t56_clause_d_even_positions():
 
 def test_triameter_examples():
     assert triameter_max(3, 3) == 6
-    assert triameter_max(3, 4) <= 7
-    with pytest.raises(TorusError):
-        triameter_max(16, 15)
+    assert triameter_max(3, 4) == 7
+    with pytest.raises(GraphError):
+        triameter_max(2, 5)
 
 
 def test_triameter_attained_on_t33():
@@ -194,7 +196,7 @@ def test_triameter_attained_on_t33():
 def test_triameter_bound_exhaustive_small():
     for r in range(3, 10):
         for s in range(3, 10):
-            assert triameter_max(r, s) <= r + s, (r, s)
+            assert triameter_max(r, s) == reference_triameter(r, s) == r + s, (r, s)
 
 
 def test_gcd_side_conditions():
