@@ -16,8 +16,8 @@ to keep the CLI's output byte-stable is checked with
 
     python3 scripts/cli_digest.py | diff - scripts/cli_digest.txt
 
-(about 5 s).  A change that alters output on purpose regenerates the file
-and says why.
+(about 3 s on a 2-vCPU Xeon VM).  A change that alters output on purpose
+regenerates the file and says why.
 
 The operations are ``gen``, ``verify``, ``formula``, ``validate-ordering``
 and ``graph`` on GP(3..60), GP(200, 400, 600), every torus with

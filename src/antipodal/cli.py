@@ -2,16 +2,19 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 solver
 timeout.  Data goes to stdout (or --out); diagnostics go to stderr.
+``main`` builds its parser once per process and reuses it on every call;
+parsing leaves the parser unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
-from math import prod
+from math import isfinite, prod
 
 from .graphs import GraphError, closed_form_diameter, distances, family_cycles
 from .radio import (RadioError, minimality_certificate, order_by_color,
@@ -110,6 +113,10 @@ def cmd_formula(args) -> int:
 
 
 def cmd_exact(args) -> int:
+    if args.budget_nodes < 0:
+        raise UsageError("--budget-nodes must be >= 0")
+    if not (isfinite(args.budget_seconds) and args.budget_seconds >= 0):
+        raise UsageError("--budget-seconds must be finite and >= 0")
     graph = families.make_graph(args.family, _params(args))
     dist = distances(graph)
     k = args.k if args.k is not None else dist.diameter - 1
@@ -191,6 +198,7 @@ class UsageError(Exception):
     pass
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="antipodal",

@@ -1,9 +1,11 @@
+import contextlib
+import io
 import json
 import sys
 
 import pytest
 
-from antipodal import graphs, span_check
+from antipodal import cli, graphs, span_check
 from antipodal.cli import main
 from antipodal.serialize import coloring_to_dot, dumps_canonical
 
@@ -183,6 +185,55 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "verify", "/nonexistent/file.json")
     assert code == 2
+
+
+def test_main_builds_the_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(5):
+        assert run_cli(capsys, "formula", "--family", "gp", "--n", "7")[0] == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+
+
+def test_calls_on_a_reused_parser_are_independent(capsys):
+    # build the parser while other streams are in place: each later message
+    # must reach the stdout or stderr of the call that prints it
+    cli.build_parser.cache_clear()
+    stale_out, stale_err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stale_out), contextlib.redirect_stderr(stale_err):
+        cli.build_parser()
+    gen = ["gen", "--family", "gp", "--n", "7"]
+    code, first, err = run_cli(capsys, *gen)
+    assert code == 0 and first and err == ""
+    code, out, err = run_cli(capsys, "gen", "--family", "gp", "--n", "5", "--r", "3")
+    assert (code, out) == (2, "")
+    assert err == "usage error: --family gp conflicts with --r/--s\n"
+    code, out, err = run_cli(capsys, "gen", "--family", "bogus")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: antipodal gen") and "invalid choice: 'bogus'" in err
+    code, out, err = run_cli(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: antipodal")
+    code, again, err = run_cli(capsys, *gen)
+    assert (code, err) == (0, "")
+    assert again == first
+    assert stale_out.getvalue() == stale_err.getvalue() == ""
+
+
+@pytest.mark.parametrize("budget", [("--budget-seconds", "nan"),
+                                    ("--budget-seconds", "inf"),
+                                    ("--budget-seconds", "-1"),
+                                    ("--budget-nodes", "-1")])
+def test_exact_rejects_invalid_budgets(capsys, budget):
+    code, out, err = run_cli(capsys, "exact", "--family", "cycle", "--n", "4", *budget)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: {budget[0]} must be")
+
+
+def test_exact_accepts_zero_budgets(capsys):
+    for budget in (("--budget-seconds", "0"), ("--budget-nodes", "0")):
+        code, out, _ = run_cli(capsys, "exact", "--family", "cycle", "--n", "4", *budget)
+        assert code == 0 and json.loads(out)["status"] == "Solved"
 
 
 def test_gen_odd_torus_is_an_error(capsys):

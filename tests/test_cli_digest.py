@@ -1,6 +1,7 @@
 """Byte-stability of the CLI: a subset of ``scripts/cli_digest.py``'s
 operations must print exactly the lines recorded in
-``scripts/cli_digest.txt``."""
+``scripts/cli_digest.txt``, also when they follow usage errors in the same
+process (``cli.main`` reuses one parser across calls)."""
 
 import sys
 from pathlib import Path
@@ -12,6 +13,8 @@ import cli_digest  # noqa: E402
 
 
 def test_graph_and_table_output_matches_recorded_digest(capsys):
+    for argv in cli_digest.OTHER:
+        cli_digest.report(" ".join(argv), argv)
     operations = [(f"GP({n})", ["--family", "gp", "--n", str(n)]) for n in range(3, 61)]
     operations += [(f"T({r},{s})", ["--family", "torus", "--r", str(r), "--s", str(s)])
                    for r in range(3, 13) for s in range(3, 13)]
@@ -21,5 +24,6 @@ def test_graph_and_table_output_matches_recorded_digest(capsys):
         cli_digest.report(f"table {argv[2]} {argv[-1]}", argv)
     lines = capsys.readouterr().out.splitlines()
     recorded = set((SCRIPTS / "cli_digest.txt").read_text().splitlines())
-    assert len(lines) == len(operations) + len(cli_digest.TABLES) == 161
+    expected = len(cli_digest.OTHER) + len(operations) + len(cli_digest.TABLES)
+    assert len(lines) == expected == 167
     assert [line for line in lines if line not in recorded] == []
