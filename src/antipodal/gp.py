@@ -171,7 +171,7 @@ def validate_gp_ordering(n: int) -> PatternReport:
         step = _STEP[case.label](n)
         two = lambda j: step
     checks = (lambda j: diam if j % 2 == 0 else short, two, lambda j: None)
-    mismatches = pattern_mismatches(construction.ordering.order, dist.d, checks)
+    mismatches = pattern_mismatches(construction.ordering.order, dist.dists, checks)
     pattern = (f"gp case {case.label}: consecutive distances alternate "
                f"{diam} and {short}")
     return PatternReport(ok=not mismatches, pattern=pattern,

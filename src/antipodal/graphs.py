@@ -3,18 +3,25 @@
 Builds cycles, generalized Petersen graphs GP(n,1) = K_2 x C_n and toroidal
 grids C_r x C_s as products of cycles, each vertex's neighbour row written
 directly, and Cartesian products of any two graphs, as immutable adjacency
-structures.  ``distances`` computes exact hop distances: closed-form lookups
+structures.  ``Graph`` validates its adjacency with array kernels over the
+flattened directed pairs (u, v): sorted keys u * n + v find duplicate
+neighbours, and comparing them with the keys v * n + u of the reversed pairs
+checks symmetry; a breadth-first search checks connectivity.  The family
+edge-set check (``family_dims``) compares the same keys with the product's.
+
+``distances`` computes exact hop distances: closed-form lookups
 (``CycleProductDistances``, two hop tables and no V x V array) for the
 built-in families, and breadth-first search (``all_pairs_distances``) for
-anything else.
+anything else.  Both answer ``dists(us, vs)`` for whole arrays of vertex
+pairs; ``d(u, v)`` wraps it for one pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections import deque
-from itertools import chain
+from itertools import chain, product
 from math import prod
+from operator import index
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -49,25 +56,22 @@ class Graph:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.n < 1 or len(self.adjacency) != self.n:
+        n = self.n
+        if n < 1 or len(self.adjacency) != n:
             raise GraphError("adjacency size does not match vertex count")
-        seen_pairs = set()
-        for u, row in enumerate(self.adjacency):
-            if len(set(row)) != len(row):
-                raise GraphError(f"duplicate neighbors at vertex {u}")
-            for v in row:
-                if v == u:
-                    raise GraphError(f"self-loop at vertex {u}")
-                if not 0 <= v < self.n:
-                    raise GraphError(f"neighbor {v} out of range")
-                seen_pairs.add((u, v))
-        for u, v in seen_pairs:
-            if (v, u) not in seen_pairs:
-                raise GraphError(f"asymmetric edge ({u}, {v})")
+        u, v = _pair_arrays(self.adjacency)
+        keys = _checked_pair_keys(self.adjacency, u, v)
+        # symmetric iff the keys of the reversed pairs are the same set
+        back = np.sort(v * n + u)
+        if not np.array_equal(keys, back):
+            first = int(np.setdiff1d(keys, back)[0])
+            raise GraphError(f"asymmetric edge ({first // n}, {first % n})")
         if self.labels is not None:
-            if sorted(self.labels.values()) != list(range(self.n)):
+            if sorted(self.labels.values()) != list(range(n)):
                 raise GraphError("labels are not a bijection onto 0..n-1")
         _assert_connected(self.adjacency)
+        # the edge set, kept for ``edge_count`` and ``family_dims``
+        object.__setattr__(self, "_pair_keys", keys)
 
     @property
     def index_of(self) -> Mapping[Label, int]:
@@ -99,7 +103,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(row) for row in self.adjacency) // 2
+        return len(self._pair_keys) // 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,8 +113,13 @@ class DistanceMatrix:
     dist: np.ndarray
     diameter: int
 
+    def dists(self, us, vs) -> np.ndarray:
+        """d(us[i], vs[i]) for two integer arrays of one shape, as an
+        integer array."""
+        return self.dist[us, vs]
+
     def d(self, u: int, v: int) -> int:
-        return int(self.dist[u, v])
+        return int(self.dists(u, v))
 
     @property
     def n(self) -> int:
@@ -124,40 +133,83 @@ class CycleProductDistances:
 
     def __init__(self, r: int, s: int) -> None:
         self.r, self.s, self.n, self.diameter = r, s, r * s, r // 2 + s // 2
-        self._hops_r = [min(i, r - i) for i in range(r)]
-        self._hops_s = [min(j, s - j) for j in range(s)]
+        self._hops_r = np.array([cyclic_distance(r, i, 0) for i in range(r)])
+        self._hops_s = np.array([cyclic_distance(s, j, 0) for j in range(s)])
+
+    def dists(self, us, vs) -> np.ndarray:
+        """d(us[i], vs[i]) for two integer arrays of one shape, as an
+        integer array."""
+        s = self.s
+        return self._hops_r[(us // s - vs // s) % self.r] + self._hops_s[(us - vs) % s]
 
     def d(self, u: int, v: int) -> int:
-        s = self.s
-        return self._hops_r[(u // s - v // s) % self.r] + self._hops_s[(u - v) % s]
+        return int(self.dists(u, v))
 
 
-# What ``distances`` returns; both give d(u, v), diameter and n.
+# What ``distances`` returns; both give dists(us, vs), d(u, v), diameter and n.
 Distances = DistanceMatrix | CycleProductDistances
 
 
-def _assert_connected(adjacency) -> None:
+def _pair_arrays(adjacency) -> tuple[np.ndarray, np.ndarray]:
+    """The directed pairs (u, v) of ``adjacency``, row by row, as two int64
+    arrays.  A neighbour that is not an integer raises TypeError."""
+    counts = np.fromiter(map(len, adjacency), np.int64, len(adjacency))
+    u = np.repeat(np.arange(len(adjacency)), counts)
+    try:
+        v = np.fromiter(map(index, chain.from_iterable(adjacency)), np.int64, len(u))
+    except OverflowError:  # beyond 64 bits, so out of range
+        big = next(x for x in chain.from_iterable(adjacency) if index(x).bit_length() > 63)
+        raise GraphError(f"neighbor {big} out of range") from None
+    return u, v
+
+
+def _checked_pair_keys(adjacency, u, v) -> np.ndarray:
+    """Sorted keys u * n + v of the directed pairs, once every row has passed
+    its checks: no duplicate neighbour, then no self-loop and no neighbour
+    outside 0..n-1 in row order.  The first vertex whose row fails is named.
+    """
     n = len(adjacency)
-    seen = bytearray(n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
+    bad = (v == u) | (v < 0) | (v >= n)
+    first_bad = int(bad.argmax()) if bad.any() else len(v)
+    # the pairs before the first bad one are in range, so their keys are exact
+    keys = u[:first_bad] * n + v[:first_bad]
+    if (keys[1:] <= keys[:-1]).any():  # some row unsorted or repeated
+        keys = np.sort(keys)
+    repeated = np.flatnonzero(keys[1:] == keys[:-1])
+    if len(repeated):
+        raise GraphError(f"duplicate neighbors at vertex {int(keys[repeated[0]]) // n}")
+    if first_bad < len(v):
+        w = int(u[first_bad])
+        row = adjacency[w]
+        if len(set(row)) != len(row):
+            raise GraphError(f"duplicate neighbors at vertex {w}")
+        x = row[first_bad - int(np.searchsorted(u, w))]
+        if x == w:
+            raise GraphError(f"self-loop at vertex {w}")
+        raise GraphError(f"neighbor {x} out of range")
+    return keys
+
+
+def _assert_connected(adjacency) -> None:
+    """Breadth-first search from vertex 0: the queue is a list that the loop
+    reads while it grows."""
+    n = len(adjacency)
+    seen = [False] * n
+    seen[0] = True
+    queue = [0]
+    append = queue.append
+    for u in queue:
         for v in adjacency[u]:
             if not seen[v]:
-                seen[v] = 1
-                count += 1
-                queue.append(v)
-    if count != n:
+                seen[v] = True
+                append(v)
+    if len(queue) != n:
         raise GraphError("graph is not connected")
 
 
-def _cycle_product_graph(family, params, labels) -> Graph:
-    """The built-in family's product of cycles (``family_cycles``) in the
-    row-major order of its vertex indices, each vertex's sorted neighbour
-    row written directly: +/-1 on each axis mod m."""
-    dims = family_cycles(family, params)
+def _product_rows(dims) -> np.ndarray:
+    """Sorted neighbour rows of the product of cycles of lengths ``dims``,
+    vertex by vertex in row-major order: +/-1 on each axis mod m."""
     size = prod(dims)
     u = np.arange(size)
     columns = []
@@ -167,8 +219,15 @@ def _cycle_product_graph(family, params, labels) -> Graph:
         c = u // stride % m
         steps = (1,) if m == 2 else (1, -1)  # C_2 is K_2: one neighbour
         columns += [u + ((c + step) % m - c) * stride for step in steps]
-    rows = np.sort(np.stack(columns, axis=1), axis=1).tolist()
-    return Graph(n=size, adjacency=tuple(map(tuple, rows)), labels=labels,
+    return np.sort(np.stack(columns, axis=1), axis=1)
+
+
+def _cycle_product_graph(family, params, labels) -> Graph:
+    """The built-in family's product of cycles (``family_cycles``) in the
+    row-major order of its vertex indices, each vertex's sorted neighbour
+    row written directly."""
+    rows = _product_rows(family_cycles(family, params))
+    return Graph(n=len(rows), adjacency=tuple(zip(*rows.T.tolist())), labels=labels,
                  family=family, params=params)
 
 
@@ -176,7 +235,7 @@ def make_cycle(n: int) -> Graph:
     """Cycle C_n with vertex i adjacent to (i +/- 1) mod n."""
     if n < 3:
         raise GraphError("cycle needs n >= 3")
-    return _cycle_product_graph("cycle", {"n": n}, {i: i for i in range(n)})
+    return _cycle_product_graph("cycle", {"n": n}, dict(zip(range(n), range(n))))
 
 
 def make_gp(n: int) -> Graph:
@@ -188,8 +247,7 @@ def make_gp(n: int) -> Graph:
     """
     if n < 3:
         raise GraphError("GP(n,1) needs n >= 3")
-    labels = {("x", i): i for i in range(n)}
-    labels.update({("y", i): n + i for i in range(n)})
+    labels = dict(zip(product(("x", "y"), range(n)), range(2 * n)))
     return _cycle_product_graph("gp", {"n": n}, labels)
 
 
@@ -197,7 +255,7 @@ def make_torus(r: int, s: int) -> Graph:
     """Toroidal grid C_r x C_s with vertices labeled (i, j), 4-regular."""
     if r < 3 or s < 3:
         raise GraphError("torus needs r, s >= 3")
-    labels = {(i, j): i * s + j for i in range(r) for j in range(s)}
+    labels = dict(zip(product(range(r), range(s)), range(r * s)))
     return _cycle_product_graph("torus", {"r": r, "s": s}, labels)
 
 
@@ -267,12 +325,6 @@ def distances(graph: Graph) -> Distances:
     return CycleProductDistances(*((1,) + dims)[-2:])
 
 
-def _cycle_hops(m: int, a, b):
-    """Vectorized ``cyclic_distance`` on C_m."""
-    delta = (a - b) % m
-    return np.minimum(delta, m - delta)
-
-
 # Each built-in family as a Cartesian product of cycles, in the row-major
 # order of its vertex indices; the parameter names are the keys of its params.
 # The builders, the adjacency check and the closed-form distances all read it.
@@ -298,18 +350,10 @@ def family_dims(graph: Graph) -> tuple[int, ...] | None:
     adjacency is that product's edge set.  O(V + E).
     """
     dims = family_cycles(graph.family, graph.params)
-    if dims is None:
+    if dims is None or prod(dims) != graph.n:
         return None
-    degree = sum(1 if m == 2 else 2 for m in dims)
-    if prod(dims) != graph.n or graph.edge_count != graph.n * degree // 2:
-        return None
-    # same size, and every edge is a product edge: the edge sets are equal
-    counts = np.fromiter(map(len, graph.adjacency), dtype=np.intp, count=graph.n)
-    u = np.repeat(np.arange(graph.n), counts)
-    v = np.fromiter(chain.from_iterable(graph.adjacency), dtype=np.intp, count=len(u))
-    hops = sum(_cycle_hops(m, a, b) for m, a, b in
-               zip(dims, np.unravel_index(u, dims), np.unravel_index(v, dims)))
-    return dims if (hops == 1).all() else None
+    expected = np.arange(graph.n)[:, None] * graph.n + _product_rows(dims)
+    return dims if np.array_equal(graph._pair_keys, expected.ravel()) else None
 
 
 def closed_form_diameter(family: str, params: Mapping[str, int]) -> int:

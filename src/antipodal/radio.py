@@ -8,11 +8,22 @@ the span telescopes to (n-1)(k+1) - sum d + sum eps.  The minimality
 certificate checks the sufficient condition that consecutive odd-position
 pairs are diametral and every two-step distance equals the shorter distance
 plus the interleaved slacks.
+
+Every check here is an array kernel that reads its distances through
+``Distances.dists`` on whole arrays of vertex pairs.  ``radio_violations``
+sorts the colors, finds the end of each vertex's color window with
+``searchsorted`` and checks the candidate pairs ``_PAIR_BLOCK`` at a time,
+so its temporary arrays stay a few MB whatever the coloring; only the
+violations it returns grow with the input.  Colors or a k of 2^61 or more
+are handled as Python integers in object arrays, so no sum wraps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
+
+import numpy as np
 
 from .graphs import Distances, Graph
 
@@ -82,12 +93,31 @@ class ColorOrdering:
         return self.epsilons[position - 2]
 
 
-def _epsilons(order, colors, k, dist: Distances) -> tuple[int, ...]:
-    eps = []
-    for j in range(1, len(order)):
-        u, v = order[j - 1], order[j]
-        eps.append(colors[v] - colors[u] - (1 + k - dist.d(u, v)))
-    return tuple(eps)
+# Candidate pairs ``radio_violations`` checks at a time.  Each takes about
+# 100 bytes of temporary arrays, so a block takes a few MB whatever the input.
+_PAIR_BLOCK = 1 << 16
+
+
+def _int_array(values, k: int = 0) -> np.ndarray:
+    """``values`` as an int64 array, or as an object array of Python ints
+    where a value or k is too large for their sums to stay within 63 bits."""
+    largest = max(max(values, default=0), -min(values, default=0), abs(k))
+    return np.array(values, dtype=np.int64 if largest < 1 << 61 else object)
+
+
+def _ordering(coloring: Coloring, dist: Distances, order) -> ColorOrdering:
+    """The ordering of ``coloring`` along ``order``, with its slacks
+    eps_j = g(v_j) - g(v_{j-1}) - (1 + k - d(v_j, v_{j-1})), all steps in
+    one ``dists`` call.  Rejects an order whose colors decrease."""
+    k = coloring.k
+    vertices = np.fromiter(map(index, order), np.int64, len(order))
+    colors = _int_array(coloring.colors, k)[vertices]
+    if (colors[1:] < colors[:-1]).any():
+        raise RadioError("order is not color-non-decreasing")
+    steps = dist.dists(vertices[:-1], vertices[1:]).astype(colors.dtype)
+    epsilons = colors[1:] - colors[:-1] + steps - (k + 1)
+    return ColorOrdering(order=tuple(order), colors=coloring.colors, k=k,
+                         epsilons=tuple(epsilons.tolist()))
 
 
 def ordering_from_sequence(coloring: Coloring, dist: Distances,
@@ -101,19 +131,13 @@ def ordering_from_sequence(coloring: Coloring, dist: Distances,
     order = tuple(order)
     if sorted(order) != list(range(coloring.n)):
         raise RadioError("order is not a permutation of the vertices")
-    colors = coloring.colors
-    for a, b in zip(order, order[1:]):
-        if colors[a] > colors[b]:
-            raise RadioError("order is not color-non-decreasing")
-    return ColorOrdering(order=order, colors=colors, k=coloring.k,
-                         epsilons=_epsilons(order, colors, coloring.k, dist))
+    return _ordering(coloring, dist, order)
 
 
 def order_by_color(coloring: Coloring, dist: Distances) -> ColorOrdering:
     """Canonical ordering: stable sort by (color, vertex index)."""
-    order = tuple(sorted(range(coloring.n), key=lambda v: (coloring.colors[v], v)))
-    return ColorOrdering(order=order, colors=coloring.colors, k=coloring.k,
-                         epsilons=_epsilons(order, coloring.colors, coloring.k, dist))
+    by_color = np.argsort(_int_array(coloring.colors), kind="stable")
+    return _ordering(coloring, dist, tuple(by_color.tolist()))
 
 
 def radio_violations(colors, k: int,
@@ -121,25 +145,37 @@ def radio_violations(colors, k: int,
     """Every vertex pair breaking |g(u) - g(v)| >= 1 + k - d(u, v), sorted,
     as (u, v, required gap, actual gap) with u < v.
 
-    Walks the vertices in color order and, from each one, only the later
-    vertices whose color gap is below k + 1: a pair with a larger gap can
-    never violate the condition.
+    Sorts the vertices by color and pairs each one only with the later
+    vertices whose color gap is below k + 1 (``searchsorted`` finds where
+    that window ends): a pair with a larger gap can never violate the
+    condition.  The candidate pairs are numbered in that order and checked
+    as arrays, ``_PAIR_BLOCK`` at a time.
     """
-    n = len(colors)
-    violations = []
-    by_color = sorted(range(n), key=lambda v: colors[v])
-    for a in range(n):
-        u = by_color[a]
-        for b in range(a + 1, n):
-            v = by_color[b]
-            gap = colors[v] - colors[u]
-            if gap >= k + 1:
-                break  # later vertices only have larger gaps
-            required = 1 + k - dist.d(u, v)
-            if gap < required:
-                violations.append((min(u, v), max(u, v), required, gap))
-    violations.sort()
-    return tuple(violations)
+    values = _int_array(colors, k)
+    by_color = np.argsort(values, kind="stable")
+    ranked = values[by_color]
+    n = len(ranked)
+    ends = np.searchsorted(ranked, ranked + (k + 1))
+    counts = np.maximum(ends - np.arange(1, n + 1), 0)
+    firsts = np.cumsum(counts) - counts  # number of the first pair of each rank
+    total = int(counts.sum())
+    found = []
+    for start in range(0, total, _PAIR_BLOCK):
+        pair = np.arange(start, min(start + _PAIR_BLOCK, total))
+        a = np.searchsorted(firsts, pair, side="right") - 1
+        b = a + 1 + pair - firsts[a]
+        u, v = by_color[a], by_color[b]
+        gap = ranked[b] - ranked[a]
+        required = (k + 1) - dist.dists(u, v).astype(values.dtype)
+        bad = gap < required
+        found.append((np.minimum(u, v)[bad], np.maximum(u, v)[bad],
+                      required[bad], gap[bad]))
+    if not found:
+        return ()
+    lo, hi, required, gap = (np.concatenate(column) for column in zip(*found))
+    first = np.lexsort((hi, lo))
+    return tuple(zip(lo[first].tolist(), hi[first].tolist(),
+                     required[first].tolist(), gap[first].tolist()))
 
 
 def verify_radio_k(graph: Graph, dist: Distances, coloring: Coloring,
@@ -168,10 +204,10 @@ def span_identity_residual(ordering: ColorOrdering, dist: Distances,
         k = ordering.k
     elif k != ordering.k:
         raise RadioError(f"ordering carries k={ordering.k}, called with k={k}")
-    n = ordering.n
-    dsum = sum(dist.d(ordering.order[j - 1], ordering.order[j]) for j in range(1, n))
+    order = np.array(ordering.order, dtype=np.int64)
+    dsum = int(dist.dists(order[:-1], order[1:]).sum())
     esum = sum(ordering.epsilons)
-    return max(ordering.colors) - ((n - 1) * (k + 1) - dsum + esum)
+    return max(ordering.colors) - ((ordering.n - 1) * (k + 1) - dsum + esum)
 
 
 @dataclass(frozen=True)
@@ -199,23 +235,22 @@ def minimality_certificate(ordering: ColorOrdering,
     if ordering.k != diam - 1:
         raise RadioError("certificate applies only to k = diameter - 1")
     n = ordering.n
-    order = ordering.order
-
-    def d_at(j1: int, j2: int) -> int:
-        return dist.d(order[j1 - 1], order[j2 - 1])
-
+    order = np.array(ordering.order, dtype=np.int64)
+    eps = _int_array(ordering.epsilons)
+    # 0-based positions i = j - 1 of the odd ordinals j up to top
+    i = np.arange(0, n - 3 if n % 2 == 0 else n - 2, 2)
+    pair = dist.dists(order[i], order[i + 1])
+    lhs = dist.dists(order[i + 1], order[i + 2])
+    rhs = dist.dists(order[i], order[i + 2]).astype(eps.dtype) + eps[i] + eps[i + 1]
     failures = []
-    top = n - 3 if n % 2 == 0 else n - 2
-    for j in range(1, top + 1, 2):
-        observed = d_at(j, j + 1)
-        if observed != diam:
-            failures.append((j, CLAUSE_DIAMETRAL, observed, diam))
-        lhs = d_at(j + 1, j + 2)
-        rhs = d_at(j, j + 2) + ordering.eps(j + 1) + ordering.eps(j + 2)
-        if lhs != rhs:
-            failures.append((j, CLAUSE_TWO_STEP, lhs, rhs))
+    for at in np.flatnonzero((pair != diam) | (lhs != rhs)).tolist():
+        j = at * 2 + 1
+        if pair[at] != diam:
+            failures.append((j, CLAUSE_DIAMETRAL, int(pair[at]), diam))
+        if lhs[at] != rhs[at]:
+            failures.append((j, CLAUSE_TWO_STEP, int(lhs[at]), int(rhs[at])))
     if n % 2 == 0 and n >= 2:
-        observed = d_at(n - 1, n)
+        observed = dist.d(ordering.order[n - 2], ordering.order[n - 1])
         if observed != diam:
             failures.append((n - 1, CLAUSE_FINAL_PAIR, observed, diam))
         if ordering.eps(n) != 0:

@@ -10,8 +10,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .graphs import Distances, Graph, GraphError
-from .radio import (ColorOrdering, Coloring, ordering_from_sequence,
+from .radio import (ColorOrdering, Coloring, RadioError, ordering_from_sequence,
                     radio_violations, span)
 
 EXACT = "Exact"
@@ -95,37 +97,41 @@ def checked_construction(graph: Graph, dist: Distances, order,
     if span(coloring) != formula.value:
         raise ConstructionError(f"construction span {span(coloring)} != "
                                 f"formula value {formula.value} for {where}")
-    colors = coloring.colors
-    if any(colors[u] > colors[v] for u, v in zip(order, order[1:])):
-        raise ConstructionError(f"colors not monotone along ordering for {where}")
-    ordering = ordering_from_sequence(coloring, dist, order)
+    try:
+        ordering = ordering_from_sequence(coloring, dist, order)
+    except RadioError:  # a permutation, so its colors decrease somewhere
+        raise ConstructionError(
+            f"colors not monotone along ordering for {where}") from None
     return Construction(graph, dist, ordering, coloring, formula)
 
 
 _PATTERN_KINDS = ("consecutive-distance", "two-step-distance", "three-step-distance")
 
 
-def pattern_mismatches(order, d: Callable, checks: tuple[Callable, Callable, Callable]
+def pattern_mismatches(order, dists: Callable,
+                       checks: tuple[Callable, Callable, Callable]
                        ) -> list[tuple[str, int, object, object]]:
     """Scan ``order`` against a clause table of expected distances.
 
     ``checks`` holds three callables of a 1-based position j, giving the
     expected d(v_j, v_{j-1}), d(v_j, v_{j-2}) and d(v_j, v_{j-3}): an int
     for an exact claim, ("ge", bound) for a lower bound, or None for no
-    claim.  ``d`` maps two entries of ``order`` to their distance.  Returns
-    every (kind, j, expected, observed) that breaks its claim, j being the
-    later position, by kind and then by j.
+    claim.  ``dists`` maps two integer arrays of entries of ``order`` to
+    their distances (``Distances.dists``); each kind's observed distances
+    come from one call.  Returns every (kind, j, expected, observed) that
+    breaks its claim, j being the later position, by kind and then by j.
     """
+    vertices = np.array(order, dtype=np.int64)
     mismatches = []
     for back, (kind, clause) in enumerate(zip(_PATTERN_KINDS, checks), start=1):
-        for j in range(back + 1, len(order) + 1):
-            expected = clause(j)
-            if expected is None:
+        positions = range(back + 1, len(order) + 1)
+        observed_at = dists(vertices[back:], vertices[:-back]).tolist()
+        for j, expected, observed in zip(positions, map(clause, positions), observed_at):
+            if expected is None or expected == observed:
                 continue
-            observed = d(order[j - 1], order[j - 1 - back])
             if isinstance(expected, tuple):
                 if observed < expected[1]:
                     mismatches.append((kind, j, f">={expected[1]}", observed))
-            elif observed != expected:
+            else:
                 mismatches.append((kind, j, expected, observed))
     return mismatches

@@ -14,6 +14,7 @@ T(4,5) (16 to 20 vertices) stop at the 10^8-node budget in 4-12 s.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -71,11 +72,14 @@ def exact_rc_k(graph: Graph, dist: Distances, k: int,
     (a relabeled graph gets neither the pin nor the construction seed).  The
     search order is descending degree then index; a color c is pruned as
     soon as c reaches the incumbent span.  ``nodes`` counts the colors tried,
-    forbidden ones included.
+    forbidden ones included.  Both budgets must be finite and >= 0.
     """
     n = graph.n
     if not 1 <= k <= dist.diameter:
         raise RadioError("k out of range 1..diameter")
+    for name, budget in (("node_budget", node_budget), ("time_budget", time_budget)):
+        if not 0 <= budget < math.inf:  # false for nan as well
+            raise RadioError(f"{name} must be finite and >= 0")
     is_family = family_dims(graph) is not None
     if pin_first is None:
         pin_first = is_family

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from .graphs import (CycleProductDistances, GraphError, all_pairs_distances, distances,
                      make_torus)
 from .radio import Coloring
@@ -349,7 +351,7 @@ def _fits_published(labels, r, s, label) -> bool:
     class's published pattern on closed-form distances."""
     order = [i * s + j for i, j in labels]
     return (_is_permutation(labels, r, s)
-            and not pattern_mismatches(order, CycleProductDistances(r, s).d,
+            and not pattern_mismatches(order, CycleProductDistances(r, s).dists,
                                        _published_checks(label, r, s)))
 
 
@@ -449,15 +451,16 @@ def _normalized_ordering(case: TorusCase, value: int) -> tuple[list, list | None
 
 def _chain_colors(order, deltas, dist):
     """Colors by vertex: pairs share a color up to the pair's delta, and the
-    color of the next pair grows by diam - d(A_m, A_{m+1})."""
-    colors = [0] * len(order)
-    g = 0
-    for m in range(0, len(order), 2):
-        if m:
-            g += dist.diameter - dist.d(order[m - 2], order[m])
-        colors[order[m]] = g
-        colors[order[m + 1]] = g + (deltas[m // 2] if deltas else 0)
-    return colors
+    color of the next pair grows by diam - d(A_m, A_{m+1}), a cumulative sum
+    over the anchors A_m."""
+    order = np.array(order, dtype=np.int64)
+    anchors = order[0::2]
+    steps = dist.diameter - dist.dists(anchors[:-1], anchors[1:])
+    anchor_colors = np.concatenate(([0], np.cumsum(steps)))
+    colors = np.zeros(len(order), dtype=np.int64)
+    colors[anchors] = anchor_colors
+    colors[order[1::2]] = anchor_colors + (np.array(deltas) if deltas else 0)
+    return colors.tolist()
 
 
 def torus_construction(r: int, s: int) -> Construction:
@@ -545,12 +548,12 @@ def validate_torus_ordering(r: int, s: int) -> PatternReport:
     construction = torus_construction(r, s)
     dist = all_pairs_distances(construction.graph)
     order = construction.ordering.order
-    if not pattern_mismatches(order, dist.d, _published_checks(case.label, case.r, case.s)):
+    if not pattern_mismatches(order, dist.dists, _published_checks(case.label, case.r, case.s)):
         pattern = f"torus class {case.label}: published clause set (a)-(d)"
         return PatternReport(ok=True, pattern=pattern, mismatches=())
     pairs = (lambda j: case.diameter if j % 2 == 0 else None,
              lambda j: None, lambda j: None)
-    mismatches = pattern_mismatches(order, dist.d, pairs)
+    mismatches = pattern_mismatches(order, dist.dists, pairs)
     pattern = (f"torus class {case.label}: repaired pair chain for ({case.r},{case.s}) "
                f"(published clause set unsatisfiable at this size)")
     return PatternReport(ok=not mismatches, pattern=pattern,

@@ -1,5 +1,6 @@
 """Shared helpers: random connected graphs, valid radio colorings, a
-brute-force reference verifier and a reference exact solver."""
+brute-force reference verifier, a reference exact solver, and the scalar
+loops that the library's array kernels must agree with (``reference_*``)."""
 
 from __future__ import annotations
 
@@ -220,3 +221,159 @@ def reference_cartesian_product(g, h):
     labels = {(g.label_of(a), h.label_of(b)): idx(a, b)
               for a in range(g.n) for b in range(h.n)}
     return _from_edge_set(g.n * h.n, edges, labels)
+
+
+def reference_graph_error(n, adjacency, labels=None):
+    """The message ``Graph`` must raise for this input, or None, from a set
+    of every directed pair and a breadth-first search.
+
+    Rows are checked in vertex order: duplicates, then self-loops and
+    out-of-range neighbours in row order.  Then symmetry (the
+    lexicographically first pair without its reverse), the labels and
+    connectivity.
+    """
+    from collections import deque
+
+    if n < 1 or len(adjacency) != n:
+        return "adjacency size does not match vertex count"
+    seen_pairs = set()
+    for u, row in enumerate(adjacency):
+        if len(set(row)) != len(row):
+            return f"duplicate neighbors at vertex {u}"
+        for v in row:
+            if v == u:
+                return f"self-loop at vertex {u}"
+            if not 0 <= v < n:
+                return f"neighbor {v} out of range"
+            seen_pairs.add((u, v))
+    asymmetric = [(u, v) for u, v in seen_pairs if (v, u) not in seen_pairs]
+    if asymmetric:
+        return "asymmetric edge ({}, {})".format(*min(asymmetric))
+    if labels is not None and sorted(labels.values()) != list(range(n)):
+        return "labels are not a bijection onto 0..n-1"
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        for v in adjacency[queue.popleft()]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return None if len(seen) == n else "graph is not connected"
+
+
+def reference_family_dims(graph):
+    """``family_dims`` by hop counts: the declared product's size and edge
+    count, and every edge joining vertices one cycle step apart."""
+    from math import prod
+
+    from antipodal.graphs import cyclic_distance, family_cycles
+
+    dims = family_cycles(graph.family, graph.params)
+    if dims is None:
+        return None
+    degree = sum(1 if m == 2 else 2 for m in dims)
+    if prod(dims) != graph.n or graph.edge_count != graph.n * degree // 2:
+        return None
+    for u, v in graph.edges():
+        cu, cv = [], []
+        for m in reversed(dims):
+            cu.append(u % m)
+            cv.append(v % m)
+            u, v = u // m, v // m
+        hops = sum(cyclic_distance(m, a, b) for m, a, b in zip(reversed(dims), cu, cv))
+        if hops != 1:
+            return None
+    return dims
+
+
+def reference_radio_violations(colors, k, dist):
+    """The radio condition's violations by a scalar walk in color order,
+    from each vertex over the later ones until the gap reaches k + 1."""
+    n = len(colors)
+    violations = []
+    by_color = sorted(range(n), key=lambda v: colors[v])
+    for a in range(n):
+        u = by_color[a]
+        for b in range(a + 1, n):
+            v = by_color[b]
+            gap = colors[v] - colors[u]
+            if gap >= k + 1:
+                break  # later vertices only have larger gaps
+            required = 1 + k - dist.d(u, v)
+            if gap < required:
+                violations.append((min(u, v), max(u, v), required, gap))
+    violations.sort()
+    return tuple(violations)
+
+
+def reference_epsilons(order, colors, k, dist):
+    """eps_j for j = 2..n along ``order``, one pair at a time."""
+    return tuple(colors[v] - colors[u] - (1 + k - dist.d(u, v))
+                 for u, v in zip(order, order[1:]))
+
+
+def reference_residual(ordering, dist):
+    """``span_identity_residual`` at the ordering's own k, by a scalar sum."""
+    n, k = ordering.n, ordering.k
+    dsum = sum(dist.d(ordering.order[j - 1], ordering.order[j]) for j in range(1, n))
+    return max(ordering.colors) - ((n - 1) * (k + 1) - dsum + sum(ordering.epsilons))
+
+
+def reference_certificate_failures(ordering, dist):
+    """``minimality_certificate`` failures, position by position."""
+    from antipodal.radio import (CLAUSE_DIAMETRAL, CLAUSE_FINAL_PAIR,
+                                 CLAUSE_FINAL_SLACK, CLAUSE_TWO_STEP)
+
+    diam, n, order = dist.diameter, ordering.n, ordering.order
+
+    def d_at(j1, j2):
+        return dist.d(order[j1 - 1], order[j2 - 1])
+
+    failures = []
+    top = n - 3 if n % 2 == 0 else n - 2
+    for j in range(1, top + 1, 2):
+        observed = d_at(j, j + 1)
+        if observed != diam:
+            failures.append((j, CLAUSE_DIAMETRAL, observed, diam))
+        lhs = d_at(j + 1, j + 2)
+        rhs = d_at(j, j + 2) + ordering.eps(j + 1) + ordering.eps(j + 2)
+        if lhs != rhs:
+            failures.append((j, CLAUSE_TWO_STEP, lhs, rhs))
+    if n % 2 == 0 and n >= 2:
+        observed = d_at(n - 1, n)
+        if observed != diam:
+            failures.append((n - 1, CLAUSE_FINAL_PAIR, observed, diam))
+        if ordering.eps(n) != 0:
+            failures.append((n, CLAUSE_FINAL_SLACK, ordering.eps(n), 0))
+    return tuple(failures)
+
+
+def reference_pattern_mismatches(order, d, checks):
+    """``pattern_mismatches`` with a scalar distance ``d(u, v)``."""
+    kinds = ("consecutive-distance", "two-step-distance", "three-step-distance")
+    mismatches = []
+    for back, (kind, clause) in enumerate(zip(kinds, checks), start=1):
+        for j in range(back + 1, len(order) + 1):
+            expected = clause(j)
+            if expected is None:
+                continue
+            observed = d(order[j - 1], order[j - 1 - back])
+            if isinstance(expected, tuple):
+                if observed < expected[1]:
+                    mismatches.append((kind, j, f">={expected[1]}", observed))
+            elif observed != expected:
+                mismatches.append((kind, j, expected, observed))
+    return mismatches
+
+
+def reference_chain_colors(order, deltas, dist):
+    """Torus pair-chain colors, pair by pair: the next anchor's color grows
+    by diam - d(A_m, A_{m+1}), a partner's adds its pair's delta."""
+    colors = [0] * len(order)
+    g = 0
+    for m in range(0, len(order), 2):
+        if m:
+            g += dist.diameter - dist.d(order[m - 2], order[m])
+        colors[order[m]] = g
+        colors[order[m + 1]] = g + (deltas[m // 2] if deltas else 0)
+    return colors

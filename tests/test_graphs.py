@@ -115,8 +115,10 @@ def _assert_same_distances(graph, bfs=None):
     got = distances(graph)
     bfs = all_pairs_distances(graph) if bfs is None else bfs
     assert got.n == bfs.n == graph.n
+    us, vs = np.divmod(np.arange(graph.n * graph.n), graph.n)
+    assert (got.dists(us, vs).reshape(graph.n, graph.n) == bfs.dist).all()
     rows = bfs.dist.tolist()
-    assert all(got.d(u, v) == row[v] for u, row in enumerate(rows) for v in range(graph.n))
+    assert all(got.d(0, v) == rows[0][v] and got.d(v, 0) == rows[v][0] for v in range(graph.n))
     assert got.diameter == bfs.diameter
 
 
@@ -211,3 +213,54 @@ def test_labels_are_bijective():
     g = make_torus(3, 4)
     assert sorted(g.index_of.values()) == list(range(12))
     assert g.label_of(g.index_of[(2, 3)]) == (2, 3)
+
+
+def _rejection(n, adjacency, labels=None):
+    with pytest.raises(GraphError) as info:
+        Graph(n=n, adjacency=adjacency, labels=labels)
+    return str(info.value)
+
+
+def test_graph_rejects_size_mismatch():
+    assert _rejection(3, ((1,), (0,))) == "adjacency size does not match vertex count"
+    assert _rejection(0, ()) == "adjacency size does not match vertex count"
+
+
+def test_graph_rejects_duplicate_neighbor():
+    triangle = ((1, 2), (0, 2, 2), (0, 1))
+    assert _rejection(3, triangle) == "duplicate neighbors at vertex 1"
+    assert _rejection(3, ((1, 2, 1), (0, 2), (0, 1))) == "duplicate neighbors at vertex 0"
+
+
+def test_graph_rejects_out_of_range_neighbor():
+    assert _rejection(3, ((1,), (0, 5), ())) == "neighbor 5 out of range"
+    assert _rejection(3, ((1, -1), (0,), ())) == "neighbor -1 out of range"
+    assert _rejection(2, ((1, 2 ** 70), (0,))) == f"neighbor {2 ** 70} out of range"
+
+
+def test_graph_rejects_labels_that_are_not_a_bijection():
+    path = ((1,), (0, 2), (1,))
+    message = "labels are not a bijection onto 0..n-1"
+    assert _rejection(3, path, {"a": 0, "b": 1, "c": 1}) == message
+    assert _rejection(3, path, {"a": 0, "b": 1}) == message
+    assert _rejection(3, path, {"a": 0, "b": 1, "c": 3}) == message
+    assert _rejection(3, path, {"a": 0, "b": 1, "c": 2, "d": 3}) == message
+    assert Graph(n=3, adjacency=path, labels={"a": 2, "b": 0, "c": 1}).label_of(0) == "b"
+
+
+def test_graph_rejection_names_the_first_offending_vertex():
+    # the rows are checked in vertex order; within a row, duplicates first,
+    # then self-loops and out-of-range neighbours in row order
+    assert _rejection(4, ((1,), (0, 9), (3, 3), (2,))) == "neighbor 9 out of range"
+    assert _rejection(4, ((1,), (0, 1), (3, 3), (2,))) == "self-loop at vertex 1"
+    assert _rejection(4, ((1,), (0,), (3, 3, 2), (9,))) == "duplicate neighbors at vertex 2"
+    assert _rejection(3, ((1,), (7, 1, 0), ())) == "neighbor 7 out of range"
+    assert _rejection(3, ((1,), (1, 7, 0), ())) == "self-loop at vertex 1"
+    assert _rejection(3, ((1,), (7, 7, 1), ())) == "duplicate neighbors at vertex 1"
+
+
+def test_asymmetric_edge_message_names_the_first_bad_pair():
+    # (0, 2), (1, 3) and (3, 2) have no reverse; (0, 2) is the first
+    assert _rejection(4, ((1, 2), (0, 3), (), (2,))) == "asymmetric edge (0, 2)"
+    # (2, 1) and (3, 2) have no reverse
+    assert _rejection(4, ((1,), (0, 3), (1,), (1, 2))) == "asymmetric edge (2, 1)"

@@ -9,6 +9,8 @@ from antipodal.radio import (RadioError, minimality_certificate, order_by_color,
                              span, verify_radio_k)
 from antipodal.solver import SOLVED, TIMED_OUT, exact_rc_k, greedy_coloring
 
+NEVER_BINDS_S = 1e9  # a time budget far above any run, so only nodes bind
+
 
 def _solve(graph, k, **kw):
     dist = all_pairs_distances(graph)
@@ -95,6 +97,24 @@ def _outcome(result):
             result.witness.colors, result.nodes)
 
 
+def test_library_call_rejects_invalid_budgets():
+    # the way a library caller (such as the benchmark's custom graphs)
+    # reaches the solver: Graph, BFS distances, exact_rc_k
+    graph = random_connected_graph(random.Random(3), 8)
+    dist = all_pairs_distances(graph)
+    k = max(1, dist.diameter - 1)
+    bad = [{"time_budget": float("nan")}, {"time_budget": -1.0},
+           {"time_budget": float("inf")}, {"time_budget": -float("inf")},
+           {"node_budget": -1}, {"node_budget": float("nan")},
+           {"node_budget": float("inf")}]
+    for kw in bad:
+        name = next(iter(kw))
+        with pytest.raises(RadioError, match=f"{name} must be finite and >= 0"):
+            exact_rc_k(graph, dist, k, **kw)
+    for kw in ({"time_budget": 0}, {"node_budget": 0}, {"node_budget": 10 ** 400}):
+        assert exact_rc_k(graph, dist, k, **kw).value >= 0
+
+
 def test_bit_mask_search_walks_the_reference_tree():
     # same status, value, lower bound, witness and node count as the
     # color-by-color reference, in both branches of every pin and on both
@@ -116,8 +136,8 @@ def test_bit_mask_search_walks_the_reference_tree():
             cases.append((graph, dist, k, {"node_budget": 12289}))
     timed_out = 0
     for graph, dist, k, kw in cases:
-        expected = reference_exact(graph, dist, k, time_budget=float("inf"), **kw)
-        got = exact_rc_k(graph, dist, k, time_budget=float("inf"), **kw)
+        expected = reference_exact(graph, dist, k, time_budget=NEVER_BINDS_S, **kw)
+        got = exact_rc_k(graph, dist, k, time_budget=NEVER_BINDS_S, **kw)
         assert _outcome(got) == _outcome(expected), (graph.n, k, kw)
         timed_out += got.status == TIMED_OUT
     assert timed_out > 0
