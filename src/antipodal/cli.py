@@ -80,9 +80,10 @@ def cmd_verify(args) -> int:
     dist = distances(graph)
     report = verify_radio_k(graph, dist, coloring)
     ordering = None
-    if "ordering" in meta and meta["ordering"] is not None:
+    order = meta.get("ordering")
+    if isinstance(order, list) and all(type(v) is int for v in order):
         try:
-            ordering = ordering_from_sequence(coloring, dist, meta["ordering"])
+            ordering = ordering_from_sequence(coloring, dist, order)
         except RadioError:
             ordering = None  # stale ordering in a tampered file
     if ordering is None:

@@ -20,9 +20,11 @@ FAMILY_PARAMS = {"cycle": ("n",), "gp": ("n",), "torus": ("r", "s")}
 
 def make_graph(family: str, params: dict) -> Graph:
     """The family's graph; ``params`` may come from a JSON file."""
-    if family not in FAMILY_PARAMS:
+    if not isinstance(family, str) or family not in FAMILY_PARAMS:
         raise GraphError(f"cannot rebuild family {family!r} from params")
-    args = [int(params[name]) for name in FAMILY_PARAMS[family]]
+    args = [params[name] for name in FAMILY_PARAMS[family]]
+    if any(type(arg) is not int for arg in args):
+        raise GraphError(f"{family} parameters must be integers")
     if family == "cycle":
         return make_cycle(*args)
     if family == "gp":

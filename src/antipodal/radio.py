@@ -45,9 +45,10 @@ class Coloring:
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise RadioError("k must be >= 1")
-        if any((not isinstance(c, int)) or c < 0 for c in self.colors):
+        # exact types: a file's 1.5, "3" or true is not an integer
+        if type(self.k) is not int or self.k < 1:
+            raise RadioError("k must be an integer >= 1")
+        if any(type(c) is not int or c < 0 for c in self.colors):
             raise RadioError("colors must be non-negative integers")
 
     @property

@@ -11,7 +11,7 @@ import json
 
 from .families import make_graph as graph_from_params
 from .graphs import Graph
-from .radio import Coloring, MinimalityCertificate, VerificationReport
+from .radio import Coloring, MinimalityCertificate, RadioError, VerificationReport
 from .results import FormulaResult, PatternReport
 from .solver import ExactResult
 
@@ -49,11 +49,16 @@ def coloring_to_dict(graph: Graph, coloring: Coloring, meta: dict) -> dict:
 
 
 def coloring_from_dict(data: dict) -> tuple[Graph, Coloring, dict]:
-    ref = data["graph_ref"]
+    """Graph, coloring and metadata of a coloring file; a field of the wrong
+    JSON type raises ``RadioError`` or ``GraphError``, never a coercion."""
+    if not isinstance(data, dict):
+        raise RadioError("a coloring file holds one JSON object")
+    ref, colors, meta = data["graph_ref"], data["colors"], data.get("meta", {})
+    if not (isinstance(ref, dict) and isinstance(ref["params"], dict)
+            and isinstance(colors, list) and isinstance(meta, dict)):
+        raise RadioError("graph_ref, its params and meta must be objects, colors a list")
     graph = graph_from_params(ref["family"], ref["params"])
-    coloring = Coloring(colors=tuple(int(c) for c in data["colors"]),
-                        k=int(data["k"]))
-    return graph, coloring, data.get("meta", {})
+    return graph, Coloring(colors=tuple(colors), k=data["k"]), meta
 
 
 def report_to_dict(report: VerificationReport) -> dict:

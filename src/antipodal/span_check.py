@@ -33,9 +33,9 @@ which computes its conclusion from closed-form torus distances:
    first partner offset and the mirror of each even side pins the sign of
    that side's coordinate in the first step.
 
-Step (4) is also the library's only search for certified pair chains: the
-torus builder emits the first chain it finds where no repaired ordering
-holds.  The check uses none of the library's orderings, so it can still
+Step (4) is the library's only search for certified pair chains, and no
+construction runs it: the torus builder stores the two chains it needs as
+data.  The check uses none of the library's orderings, so it can still
 audit the span the library emits.
 """
 
@@ -43,15 +43,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 
 from .graphs import cyclic_distance
 
 # enumeration nodes step (4) may walk before it gives up undecided
 NODE_CAP = 5_000_000
+# largest torus checked: the check keeps an n x n distance table, and step
+# (4) recurses once per pair, which must stay within Python's stack limit
+VERTEX_CAP = 1_000
 
 
 class SpanCheckError(RuntimeError):
-    """Raised when the enumeration exceeds ``NODE_CAP`` undecided."""
+    """Raised when the check cannot decide: the torus has more than
+    ``VERTEX_CAP`` vertices, or step (4) exceeds ``NODE_CAP`` nodes."""
 
 
 @dataclass(frozen=True)
@@ -89,38 +94,37 @@ def _length_rule(steps, top, budget, isolated):
     end in a ``top`` step, such that some completion keeps the total
     shortfall from ``top`` <= budget; with ``isolated``, no two ``top``
     steps are adjacent and none is last.  The second value returned is the
-    number of complete sequences."""
+    number of complete sequences.  Both are computed bottom-up over the
+    steps left, so no recursion grows with ``steps``."""
 
-    def least(rem, prev_top):
-        # shortfall the last ``rem`` steps must still spend
-        if not isolated or rem == 0:
-            return 0
-        free = rem - 1 - prev_top  # positions that may hold a top step
-        return rem - (free + 1) // 2 if free > 0 else rem
+    def shortfalls(left, prev_top):
+        # shortfalls top - length open to a step with ``left`` steps after it
+        first = 1 if isolated and (prev_top or left == 0) else 0
+        return range(first, top)
 
-    def candidates(m, spent, prev_top):
-        rem = steps - m - 1
-        for length in range(top, 0, -1):
-            is_top = length == top
-            if isolated and is_top and (prev_top or rem == 0):
-                continue
-            cost = spent + top - length
-            if cost + least(rem, is_top) <= budget:
-                yield length, cost, is_top
-
-    @cache
-    def count(m, spent, prev_top):
-        if m == steps:
-            return 1
-        return sum(count(m + 1, cost, is_top)
-                   for _, cost, is_top in candidates(m, spent, prev_top))
+    # least[left][prev_top]: least shortfall ``left`` more steps must spend,
+    # or budget + 1 where they cannot be completed
+    least = [[0, 0]]
+    for left in range(steps):
+        least.append([min((d + least[left][d == 0] for d in shortfalls(left, p)),
+                          default=budget + 1) for p in (0, 1)])
 
     @cache
     def lengths(m, spent, prev_top):
-        return tuple(option for option in candidates(m, spent, prev_top)
-                     if count(m + 1, option[1], option[2]))
+        left = steps - m - 1
+        return tuple((top - d, spent + d, d == 0) for d in shortfalls(left, prev_top)
+                     if spent + d + least[left][d == 0] <= budget)
 
-    return lengths, count(0, 0, False)
+    # ways[p][b]: sequences of the steps counted so far that spend at most
+    # b, after a step that was (p = 1) or was not (p = 0) a top step
+    width = min(budget, steps * (top - 1)) + 1
+    ways = [[1] * width, [1] * width]
+    for left in range(steps):
+        sums = [0, *accumulate(ways[0])]
+        ways = [[sums[b] - sums[max(0, b - top + 1)]
+                 + (ways[1][b] if 0 in shortfalls(left, p) else 0)
+                 for b in range(width)] for p in (0, 1)]
+    return lengths, ways[0][-1] if budget >= 0 else 0
 
 
 def check_certified_span(r: int, s: int, span: int) -> SpanCheck:
@@ -129,6 +133,8 @@ def check_certified_span(r: int, s: int, span: int) -> SpanCheck:
     if r < 3 or s < 3 or (r * s) % 2:
         raise ValueError("need r, s >= 3 with rs even")
     n = r * s
+    if n > VERTEX_CAP:
+        raise SpanCheckError(f"T({r},{s}): more than {VERTEX_CAP} vertices")
     pairs = n // 2
     diam = r // 2 + s // 2
     dist = [[cyclic_distance(r, u // s, v // s) + cyclic_distance(s, u % s, v % s)

@@ -10,9 +10,10 @@ passes.  For odd rs only a lower bound is available.
 
 The published per-class ordering formulas are used wherever they hold; a
 handful of small sizes need repaired orderings (generalized copy shifts, a
-zigzag row sweep, or the first certified pair chain that the exhaustive
-enumeration of ``antipodal.span_check`` finds) because the literal formulas
-double-cover vertices or their seam distances degenerate.
+zigzag row sweep, a two-pair period, or, at T(3,8) and T(3,14), a certified
+pair chain stored as data) because the literal formulas double-cover
+vertices or their seam distances degenerate.  No search runs here: a size
+that none of these covers raises ``ConstructionError`` at once.
 Every construction passes ``results.checked_construction`` before it is
 returned, and fails loudly with ``ConstructionError`` rather than emit a bad
 ordering; ``validate_torus_ordering`` scans the emitted ordering on BFS
@@ -367,25 +368,19 @@ def _fits_published(labels, r, s, label) -> bool:
 # the formula carries a discrepancy note.
 _CERTIFIED_SPAN_OVERRIDES: dict[tuple[int, int], int] = {(3, 12): 62}
 
-
-def _certified_chain(r, s, value):
-    """Labels and per-pair deltas of the first certified pair chain of span
-    at most ``value`` that ``span_check``'s exhaustive enumeration finds.
-
-    Deterministic.  Imported here so that no CLI call pays for loading the
-    enumeration unless it reaches this fallback.
-    """
-    from .span_check import SpanCheckError, check_certified_span
-    try:
-        chain = check_certified_span(r, s, value).chain
-    except SpanCheckError as exc:
-        raise ConstructionError(f"chain enumeration undecided: {exc}") from exc
-    if chain is None:
-        raise ConstructionError(
-            f"no certified pair chain with span {value} exists for ({r},{s})")
-    labels = [divmod(v, s) for v, _ in chain]
-    deltas = [chain[m + 1][1] - chain[m][1] for m in range(0, len(chain), 2)]
-    return labels, deltas
+# The two normalized sizes where no repaired ordering holds but a certified
+# pair chain reaches the formula span: the vertex order into make_torus(r, s)
+# and the per-pair color gaps.  Each is the first chain that the
+# enumeration of antipodal.span_check finds at that span.
+_FROZEN_CHAINS: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {
+    (3, 8): ((0, 12, 18, 6, 20, 8, 2, 14, 4, 16, 10, 22,
+              1, 13, 3, 23, 9, 21, 11, 7, 17, 5, 19, 15),
+             (0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0)),
+    (3, 14): ((0, 21, 4, 25, 8, 15, 12, 19, 2, 23, 6, 27, 10, 31,
+               35, 14, 18, 39, 22, 29, 26, 33, 16, 37, 20, 41, 3, 24,
+               7, 28, 11, 32, 1, 36, 5, 40, 9, 30, 13, 34, 38, 17),
+              (0,) * 21),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +408,8 @@ def _block_cascade(builder, label, r, s):
     return None
 
 
-def _normalized_ordering(case: TorusCase, value: int) -> tuple[list, list | None]:
-    """Ordering (and per-pair deltas, usually all zero) in normalized space;
-    ``value`` is the span the certified-chain fallback must reach."""
+def _normalized_ordering(case: TorusCase) -> tuple[list, list | None]:
+    """Ordering (and per-pair deltas, usually all zero) in normalized space."""
     r, s, label = case.r, case.s, case.label
     if label == LODD:
         raise TorusError("no construction for odd rs; only a lower bound")
@@ -446,7 +440,10 @@ def _normalized_ordering(case: TorusCase, value: int) -> tuple[list, list | None
         labels = _order_22_low(r, s) if r % 8 == 6 else _order_22_high(r, s)
     if labels is not None and _is_permutation(labels, r, s):
         return labels, None
-    return _certified_chain(r, s, value)
+    if (r, s) in _FROZEN_CHAINS:
+        order, deltas = _FROZEN_CHAINS[(r, s)]
+        return [divmod(v, s) for v in order], list(deltas)
+    raise ConstructionError(f"no construction for ({r},{s})")
 
 
 def _chain_colors(order, deltas, dist):
@@ -471,7 +468,7 @@ def torus_construction(r: int, s: int) -> Construction:
     """
     case = torus_case(r, s)
     formula = torus_ac_formula(r, s)
-    labels, deltas = _normalized_ordering(case, formula.value)
+    labels, deltas = _normalized_ordering(case)
     if case.swapped:
         labels = [(j, i) for i, j in labels]
     graph = make_torus(r, s)

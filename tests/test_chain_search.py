@@ -1,4 +1,5 @@
-"""Certified-chain fallback: the repaired sizes are built live and checked."""
+"""Frozen certified chains: T(3,8) and T(3,14) are built from stored data,
+which the span check re-derives and the construction check re-verifies."""
 
 import pytest
 
@@ -6,12 +7,13 @@ from antipodal import torus
 from antipodal.graphs import all_pairs_distances, make_torus
 from antipodal.radio import (minimality_certificate, ordering_from_sequence,
                              span, verify_radio_k)
-from antipodal.torus import (_certified_chain, ConstructionError, torus_ac_formula,
+from antipodal.span_check import check_certified_span
+from antipodal.torus import (ConstructionError, torus_ac_formula,
                              torus_antipodal_coloring, torus_ordering)
 
 
 def test_repaired_chains_validate_end_to_end():
-    # sizes whose published orderings fail, so the fallback builds them
+    # sizes whose published orderings fail, so the frozen chains build them
     for r, s in ((3, 8), (3, 14)):
         graph = make_torus(r, s)
         dist = all_pairs_distances(graph)
@@ -22,32 +24,27 @@ def test_repaired_chains_validate_end_to_end():
         assert minimality_certificate(ordering, dist).certified
 
 
-def test_search_solves_a_tiny_instance_live():
-    # T(3,4) has a quick certified chain; the fallback finds it from scratch
-    labels, deltas = _certified_chain(3, 4, torus_ac_formula(3, 4).value)
-    assert sorted(labels) == [(i, j) for i in range(3) for j in range(4)]
-    assert len(deltas) == 6 and deltas[-1] == 0
+@pytest.mark.parametrize("s", [8, 14])
+def test_frozen_chain_is_the_enumerations_first_chain(s):
+    chain = check_certified_span(3, s, torus_ac_formula(3, s).value).chain
+    order = tuple(v for v, _ in chain)
+    gaps = tuple(chain[m + 1][1] - chain[m][1] for m in range(0, len(chain), 2))
+    assert torus._FROZEN_CHAINS[(3, s)] == (order, gaps)
 
 
-def test_search_raises_on_unreachable_span():
-    # far below any feasible telescoped span: must exhaust quickly
-    with pytest.raises(ConstructionError, match="no certified pair chain"):
-        _certified_chain(3, 4, 2)
+def _swap_across_pairs(order, gaps):
+    order[0], order[5] = order[5], order[0]  # pairs 0 and 2; span stays 28
 
 
-def _swap_across_pairs(labels, deltas):
-    labels[0], labels[5] = labels[5], labels[0]  # pairs 0 and 2; span stays 28
-
-
-def _raise_first_pair_gap(labels, deltas):
-    deltas[0] += 1
+def _raise_first_pair_gap(order, gaps):
+    gaps[0] += 1
 
 
 @pytest.mark.parametrize("corrupt", [_swap_across_pairs, _raise_first_pair_gap])
 def test_self_check_rejects_corrupted_chain(monkeypatch, corrupt):
-    labels, deltas = _certified_chain(3, 8, torus_ac_formula(3, 8).value)
-    corrupt(labels, deltas)
-    monkeypatch.setattr(torus, "_certified_chain", lambda r, s, value: (labels, deltas))
+    order, gaps = (list(part) for part in torus._FROZEN_CHAINS[(3, 8)])
+    corrupt(order, gaps)
+    monkeypatch.setitem(torus._FROZEN_CHAINS, (3, 8), (tuple(order), tuple(gaps)))
     # permutation and span still hold, so the pairwise verifier must reject it
     with pytest.raises(ConstructionError,
                        match=r"antipodal condition fails between \(\d, \d\) and"):

@@ -76,6 +76,41 @@ def test_verify_rejects_tampered_file(capsys, tmp_path):
     assert json.loads(out)["valid"] is False
 
 
+@pytest.mark.parametrize("field,value,code", [
+    # a stale ordering falls back to color order
+    (["meta", "ordering", 1], "a", 0),
+    (["meta", "ordering"], 5, 0),
+    # any other field of the wrong type is an error, never truncated
+    (["colors"], 5, 2),
+    (["colors", 0], 1.5, 2),
+    (["colors", 0], "3", 2),
+    (["k"], 3.7, 2),
+    (["graph_ref", "params", "n"], "abc", 2),
+    (["graph_ref", "params", "n"], 5.0, 2),
+    (["meta"], [], 2),
+], ids=lambda x: ".".join(map(str, x)) if isinstance(x, list) else repr(x))
+def test_verify_rejects_malformed_fields(capsys, tmp_path, field, value, code):
+    path = tmp_path / "gp5.json"
+    run_cli(capsys, "gen", "--family", "gp", "--n", "5", "--out", str(path))
+    data = json.loads(path.read_text())
+    ordering = data["meta"].pop("ordering")
+    path.write_text(json.dumps(data))
+    _, color_order, _ = run_cli(capsys, "verify", str(path))
+    data["meta"]["ordering"] = ordering
+    *keys, last = field
+    target = data
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    path.write_text(json.dumps(data))
+    got, out, err = run_cli(capsys, "verify", str(path))
+    assert got == code
+    if code == 0:
+        assert out == color_order
+    else:
+        assert not out and err.startswith("error: ")
+
+
 def test_formula_command(capsys):
     code, out, _ = run_cli(capsys, "formula", "--family", "gp", "--n", "10")
     assert code == 0
@@ -251,22 +286,6 @@ def test_dot_output_deterministic():
     assert dumps_canonical({"b": 1, "a": 2}) == '{"a":2,"b":1}\n'
 
 
-@pytest.mark.parametrize("s", [16, 20, 24])
-def test_gen_unreachable_published_span_fails_fast(capsys, s):
-    # no certified pair chain reaches the published (3,0)-class span here
-    code, _, err = run_cli(capsys, "gen", "--family", "torus", "--r", "3", "--s", str(s))
-    assert code == 2
-    assert "no certified pair chain" in err
-
-
-def test_gen_undecided_chain_enumeration_is_an_error(capsys, monkeypatch):
-    monkeypatch.setattr(span_check, "NODE_CAP", 1000)
-    code, out, err = run_cli(capsys, "gen", "--family", "torus", "--r", "7", "--s", "14")
-    assert code == 2 and not out
-    assert err.startswith("error: chain enumeration undecided")
-    assert "Traceback" not in err
-
-
 def test_torus_table_marks_sizes_without_a_construction(capsys):
     code, out, _ = run_cli(capsys, "table", "--family", "torus", "--r-max", "3",
                            "--s-max", "16", "--format", "json")
@@ -301,10 +320,17 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_gen_runs_the_chain_enumeration_once(capsys, monkeypatch):
+@pytest.mark.parametrize("r,s", [(3, 16), (7, 14), (22, 31)])
+def test_gen_without_a_construction_fails_fast(capsys, monkeypatch, r, s):
+    # no repaired ordering or stored chain covers these sizes (span_check
+    # rules out T(3,16) at the published span): gen exits 2 at once and
+    # runs no enumeration
     checks = _count_calls(monkeypatch, span_check, "check_certified_span")
-    assert run_cli(capsys, "gen", "--family", "torus", "--r", "3", "--s", "14")[0] == 0
-    assert len(checks) == 1
+    code, out, err = run_cli(capsys, "gen", "--family", "torus", "--r", str(r), "--s", str(s))
+    assert code == 2 and not out
+    assert err.startswith("error: no construction for")
+    assert "Traceback" not in err
+    assert checks == []
 
 
 def test_gen_builds_one_graph(capsys, monkeypatch):

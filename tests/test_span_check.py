@@ -1,5 +1,7 @@
 """The exhaustive certified-span check: its T(3,12) verdicts and its soundness."""
 
+from itertools import product
+
 import pytest
 
 from antipodal.graphs import all_pairs_distances, cyclic_distance, make_torus
@@ -104,6 +106,42 @@ def test_minimum_matches_plain_search(r, s):
     assert _library_accepts(r, s, found.chain) == (True, expected)
 
 
+def test_search_solves_a_tiny_instance_live():
+    # T(3,4) has a quick certified chain; the enumeration finds it from scratch
+    chain = check_certified_span(3, 4, torus_ac_formula(3, 4).value).chain
+    assert sorted(v for v, _ in chain) == list(range(12))
+    assert chain[-1][1] == chain[-2][1]  # the final pair has gap 0
+
+
+def test_search_rules_out_an_unreachable_span():
+    # far below any feasible telescoped span: must exhaust quickly
+    result = check_certified_span(3, 4, 2)
+    assert result.ruled_out and result.chain is None
+
+
+@pytest.mark.parametrize("isolated", [False, True])
+def test_length_rule_matches_plain_enumeration(isolated):
+    # the bottom-up count and the options it hands step (4) against every
+    # length sequence listed outright
+    for steps, top, budget in product(range(1, 6), range(1, 5), range(-1, 8)):
+        lengths, count = span_check._length_rule(steps, top, budget, isolated)
+        expected = sorted(
+            seq for seq in product(range(1, top + 1), repeat=steps)
+            if sum(top - x for x in seq) <= budget
+            and not (isolated and (seq[-1] == top or any(
+                a == b == top for a, b in zip(seq, seq[1:])))))
+
+        def walk(m, spent, prev_top):
+            if m == steps:
+                yield ()
+                return
+            for length, spent2, is_top in lengths(m, spent, prev_top):
+                yield from ((length, *rest) for rest in walk(m + 1, spent2, is_top))
+
+        assert count == len(expected)
+        assert sorted(walk(0, 0, False)) == expected
+
+
 def test_node_cap_and_parameters(monkeypatch):
     monkeypatch.setattr(span_check, "NODE_CAP", 100)
     with pytest.raises(SpanCheckError):
@@ -120,3 +158,13 @@ def test_memory_stays_bounded_until_the_node_cap(monkeypatch, r, s):
     monkeypatch.setattr(span_check, "NODE_CAP", 1000)
     with pytest.raises(SpanCheckError):
         check_certified_span(r, s, torus_ac_formula(r, s).value)
+
+
+def test_large_tori_end_with_a_typed_error(monkeypatch):
+    # T(31,22) has 340 steps, too many for a count that recurses once per
+    # step: the node cap must still be what ends the check
+    monkeypatch.setattr(span_check, "NODE_CAP", 1000)
+    with pytest.raises(SpanCheckError, match="more than 1000 nodes"):
+        check_certified_span(31, 22, torus_ac_formula(31, 22).value)
+    with pytest.raises(SpanCheckError, match=f"more than {span_check.VERTEX_CAP} vertices"):
+        check_certified_span(100, 100, torus_ac_formula(100, 100).value)
