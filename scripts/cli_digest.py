@@ -23,7 +23,8 @@ The operations are ``gen``, ``verify``, ``formula``, ``validate-ordering``
 and ``graph`` on GP(3..60), GP(200, 400, 600), every torus with
 3 <= r, s <= 12 (odd rs included: those exit with an error), T(3,14),
 T(3,16), T(7,14) and T(22,31) (no construction: they exit 2 at once), the
-larger tori of the benchmark, ``export-dot``
+larger tori of the benchmark, T(5,40) and T(5,100) (the r = 5 copy shift
+over many blocks), ``export-dot``
 of the generated files, both JSON tables and the CSV torus table at 12,
 ``exact`` on GP(5), T(3,4) and C12, ``exact`` on GP(8) and T(3,6) stopped
 by ``--budget-nodes`` 4096 and 100000 (exit 3), a cycle graph and a few
@@ -46,7 +47,7 @@ from antipodal.cli import main as cli_main
 GP_SIZES = [*range(3, 61), 200, 400, 600]
 TORI = ([(r, s) for r in range(3, 13) for s in range(3, 13)]
         + [(3, 14), (14, 3), (3, 16), (7, 14), (22, 31), (16, 16), (30, 30), (32, 32),
-           (33, 34), (40, 40)])
+           (33, 34), (40, 40), (5, 40), (5, 100)])
 TABLES = [
     ["table", "--family", "gp", "--n-from", "3", "--n-to", "60", "--format", "json"],
     ["table", "--family", "torus", "--r-max", "12", "--s-max", "12", "--format", "json"],

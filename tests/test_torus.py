@@ -1,18 +1,20 @@
+import time
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd
 
 import pytest
 
-from antipodal.graphs import GraphError, all_pairs_distances, make_torus
+from antipodal.graphs import (CycleProductDistances, GraphError,
+                              all_pairs_distances, make_torus)
 from antipodal.radio import (Coloring, minimality_certificate,
                              ordering_from_sequence, span,
                              span_identity_residual, verify_radio_k)
-from antipodal.results import EXACT, LOWER_BOUND
+from antipodal.results import EXACT, LOWER_BOUND, ConstructionError, pattern_mismatches
 from antipodal.torus import (L00, L10, L12, L20, L22H, L22M, L30, L32, LODD,
-                             TorusError, torus_ac_formula,
+                             TorusError, _published_checks, torus_ac_formula,
                              torus_antipodal_coloring, torus_case,
-                             torus_ordering, triameter_max,
+                             torus_construction, torus_ordering, triameter_max,
                              validate_torus_ordering)
 
 from conftest import reference_triameter
@@ -21,7 +23,7 @@ from conftest import reference_triameter
 REPRESENTATIVES = [(4, 4), (8, 4), (5, 4), (5, 8), (6, 4), (3, 4), (7, 8),
                    (7, 6), (11, 6), (3, 10), (6, 6), (10, 10), (6, 10),
                    (10, 6), (5, 10), (9, 6), (3, 6), (5, 6), (3, 8), (4, 5),
-                   (3, 12)]
+                   (3, 12), (5, 40)]
 
 
 def test_case_classification():
@@ -154,6 +156,48 @@ def test_validate_full_range_and_rule_set_census():
             if "repaired" in report.pattern:
                 repaired.add((case.r, case.s))
     assert repaired == {(3, 6), (5, 6), (3, 8), (3, 12)}
+
+
+def _misses_published(r, s, order):
+    """Whether ``order`` breaks the published clause set of normalized (r, s)."""
+    checks = _published_checks(torus_case(r, s).label, r, s)
+    return bool(pattern_mismatches(order, CycleProductDistances(r, s).dists, checks))
+
+
+def test_size_rule_census():
+    # The builders pick their ordering by size alone; this is the census that
+    # backs that rule.  Every other built size meets its class's published
+    # clause set, and the sizes without a construction are all known.
+    missed, raised, built = set(), 0, 0
+    seen = set()
+    for r in range(3, 41):
+        for s in range(3, 41):
+            if (r * s) % 2 == 1:
+                continue
+            case = torus_case(r, s)
+            if (case.r, case.s) in seen:
+                continue
+            seen.add((case.r, case.s))
+            try:
+                order = torus_ordering(case.r, case.s)
+            except ConstructionError:
+                raised += 1
+                continue
+            built += 1
+            if _misses_published(case.r, case.s, order):
+                missed.add((case.r, case.s))
+    assert missed == {(3, 6), (3, 8), (3, 12), (3, 14), (5, 6)}
+    assert (raised, built) == (83, 484)
+
+
+def test_r5_copy_shift_builds_large_sizes_fast():
+    # V = 10^4: the r = 5 copy shift is read off the size, so the build is
+    # linear in s
+    started = time.monotonic()
+    construction = torus_construction(5, 2000)
+    assert time.monotonic() - started < 5.0
+    assert torus_case(5, 2000).label == L10
+    assert not _misses_published(5, 2000, construction.ordering.order)
 
 
 def test_t34_clause_c_alternation():
