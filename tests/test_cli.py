@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -137,6 +139,27 @@ def test_exact_timeout_exit_code(capsys):
                            "--budget-nodes", "1000")
     assert code == 3
     assert json.loads(out)["status"] == "TimedOut"
+
+
+@pytest.mark.parametrize("family, vertices, mib", [
+    (("--family", "gp", "--n", "300"), 600, 494),
+    (("--family", "torus", "--r", "40", "--s", "40"), 1600, 2512),
+])
+def test_exact_refuses_a_search_table_above_the_cap(capsys, family, vertices, mib):
+    # the packed forbidden-color table grows as n^2/2 lanes of span + 2k + 1
+    # bits; above the cap the search is refused before anything is allocated
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "exact", *family)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == (f"error: exact search on {vertices} vertices needs a {mib} MiB "
+                   "table, above the 16 MiB cap\n")
+    assert elapsed < 2.0 and peak < 16 * 2 ** 20
 
 
 def test_validate_ordering_command(capsys):

@@ -134,6 +134,13 @@ def test_bit_mask_search_walks_the_reference_tree():
         dist = distances(graph)
         for k in range(1, dist.diameter + 1):
             cases.append((graph, dist, k, {"node_budget": 12289}))
+    # k = diameter, the widest bands, with the whole tree walked: every pair
+    # of positions constrains each other, so no lane of the packed masks
+    # stays empty
+    for graph in ([make_cycle(n) for n in range(3, 11)] + [make_gp(n) for n in range(3, 6)]
+                  + [make_torus(3, 3), make_torus(3, 5)]):
+        dist = distances(graph)
+        cases.append((graph, dist, dist.diameter, {}))
     timed_out = 0
     for graph, dist, k, kw in cases:
         expected = reference_exact(graph, dist, k, time_budget=NEVER_BINDS_S, **kw)
@@ -141,6 +148,21 @@ def test_bit_mask_search_walks_the_reference_tree():
         assert _outcome(got) == _outcome(expected), (graph.n, k, kw)
         timed_out += got.status == TIMED_OUT
     assert timed_out > 0
+
+
+@pytest.mark.parametrize("graph, budget, expected", [
+    (make_torus(4, 4), 10 ** 8, (SOLVED, 15, 3_911_370)),
+    (make_gp(8), 2_000_000, (TIMED_OUT, 21, 2_003_027)),
+    (make_torus(3, 6), 2_000_000, (TIMED_OUT, 16, 2_003_020)),
+], ids=["T(4,4)", "GP(8)", "T(3,6)"])
+def test_heavy_benchmark_sizes_walk_a_pinned_tree(graph, budget, expected):
+    # the exact-solve benchmark's heaviest searches at k = diameter - 1: a
+    # change of search order, pruning or node counting moves these figures
+    dist = distances(graph)
+    result = exact_rc_k(graph, dist, dist.diameter - 1, node_budget=budget,
+                        time_budget=NEVER_BINDS_S)
+    assert (result.status, result.value, result.nodes) == expected
+    assert verify_radio_k(graph, dist, result.witness).valid
 
 
 def test_greedy_coloring_is_valid():
