@@ -3,11 +3,20 @@
 Builds cycles, generalized Petersen graphs GP(n,1) = K_2 x C_n and toroidal
 grids C_r x C_s as products of cycles, each vertex's neighbour row written
 directly, and Cartesian products of any two graphs, as immutable adjacency
-structures.  ``Graph`` validates its adjacency with array kernels over the
-flattened directed pairs (u, v): sorted keys u * n + v find duplicate
-neighbours, and comparing them with the keys v * n + u of the reversed pairs
-checks symmetry; a breadth-first search checks connectivity.  The family
-edge-set check (``family_dims``) compares the same keys with the product's.
+structures.
+
+The public ``Graph`` constructor checks every input with array kernels over
+the flattened directed pairs (u, v): no self-loop, no neighbour out of range,
+sorted keys u * n + v with no duplicate, and the same keys as the reversed
+pairs v * n + u (symmetry); the labels must be a bijection onto the indices,
+and a breadth-first search checks connectivity.  The cycle-product builder
+behind ``make_cycle``, ``make_gp`` and ``make_torus`` skips these checks: its
+rows are simple, symmetric and connected by construction, and it records the
+product's cycle lengths, so ``family_dims`` is O(1) on its graphs.  A test
+census rebuilds every builder graph of C_3..C_60, GP(3..60) and the tori up
+to 15 x 15 through the checking constructor.  Any other graph, including a
+hand-built one that names a built-in family, has its edge set compared with
+the product's by ``family_dims``.
 
 ``distances`` computes exact hop distances: closed-form lookups
 (``CycleProductDistances``, two hop tables and no V x V array) for the
@@ -47,6 +56,12 @@ class Graph:
     (e.g. ("x", 3) for the outer cycle of GP(n,1), or (i, j) for a torus)
     bijectively onto the index range.  ``family``/``params`` record how the
     graph was built so downstream code can pick closed forms and seeds.
+
+    The constructor rejects a size mismatch, a self-loop, a duplicate or
+    out-of-range neighbour, an asymmetric edge, labels that are not a
+    bijection and a disconnected graph, each with a ``GraphError``.  Graphs
+    from ``make_cycle``, ``make_gp`` and ``make_torus`` are correct by
+    construction and skip these checks (see ``_cycle_product_graph``).
     """
 
     n: int
@@ -133,8 +148,8 @@ class CycleProductDistances:
 
     def __init__(self, r: int, s: int) -> None:
         self.r, self.s, self.n, self.diameter = r, s, r * s, r // 2 + s // 2
-        self._hops_r = np.array([cyclic_distance(r, i, 0) for i in range(r)])
-        self._hops_s = np.array([cyclic_distance(s, j, 0) for j in range(s)])
+        self._hops_r = np.minimum(np.arange(r), r - np.arange(r))
+        self._hops_s = np.minimum(np.arange(s), s - np.arange(s))
 
     def dists(self, us, vs) -> np.ndarray:
         """d(us[i], vs[i]) for two integer arrays of one shape, as an
@@ -225,10 +240,22 @@ def _product_rows(dims) -> np.ndarray:
 def _cycle_product_graph(family, params, labels) -> Graph:
     """The built-in family's product of cycles (``family_cycles``) in the
     row-major order of its vertex indices, each vertex's sorted neighbour
-    row written directly."""
-    rows = _product_rows(family_cycles(family, params))
-    return Graph(n=len(rows), adjacency=tuple(zip(*rows.T.tolist())), labels=labels,
-                 family=family, params=params)
+    row written directly.
+
+    The rows are simple, symmetric and connected, and ``labels`` is a
+    bijection, by construction, so ``Graph``'s checks are skipped; the
+    builder tests rebuild each graph through them.  The pair keys of sorted
+    rows in vertex order are already sorted, and the recorded cycle lengths
+    answer ``family_dims``.
+    """
+    dims = family_cycles(family, params)
+    rows = _product_rows(dims)
+    n = len(rows)
+    graph = object.__new__(Graph)
+    vars(graph).update(n=n, adjacency=tuple(zip(*rows.T.tolist())), labels=labels,
+                       family=family, params=params, _cycle_dims=dims,
+                       _pair_keys=(np.arange(n)[:, None] * n + rows).ravel())
+    return graph
 
 
 def make_cycle(n: int) -> Graph:
@@ -347,8 +374,13 @@ def family_cycles(family: str, params: Mapping) -> tuple[int, ...] | None:
 
 def family_dims(graph: Graph) -> tuple[int, ...] | None:
     """``family_cycles`` of the graph's declared family, or None unless its
-    adjacency is that product's edge set.  O(V + E).
+    adjacency is that product's edge set.  O(1) for a graph from the
+    built-in builders, which record their cycle lengths; O(V + E) for any
+    other graph, whose pair keys are compared with the product's.
     """
+    dims = getattr(graph, "_cycle_dims", None)
+    if dims is not None:
+        return dims
     dims = family_cycles(graph.family, graph.params)
     if dims is None or prod(dims) != graph.n:
         return None

@@ -356,10 +356,15 @@ def test_gen_without_a_construction_fails_fast(capsys, monkeypatch, r, s):
     assert checks == []
 
 
-def test_gen_builds_one_graph(capsys, monkeypatch):
-    builds = _count_calls(monkeypatch, graphs.Graph, "__post_init__")
-    assert run_cli(capsys, "gen", "--family", "torus", "--r", "40", "--s", "40")[0] == 0
+def test_gen_builds_one_graph(capsys, monkeypatch, tmp_path):
+    # gen builds one graph, and verify of its file builds one more
+    builds = _count_calls(monkeypatch, graphs, "_cycle_product_graph")
+    out = str(tmp_path / "t40.json")
+    assert run_cli(capsys, "gen", "--family", "torus", "--r", "40", "--s", "40",
+                   "--out", out)[0] == 0
     assert len(builds) == 1
+    assert run_cli(capsys, "verify", out)[0] == 0
+    assert len(builds) == 2
 
 
 def test_table_computes_distances_once_per_constructed_row(capsys, monkeypatch):

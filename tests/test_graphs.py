@@ -153,6 +153,7 @@ def test_builders_match_edge_set_references():
     cases += [(make_gp(n), reference_gp(n)) for n in range(3, 61)]
     cases += [(make_torus(r, s), reference_torus(r, s))
               for r in range(3, 16) for s in range(3, 16)]
+    n_built_in = len(cases)
     factors = [_k2(), make_cycle(3), make_cycle(4), make_gp(3),
                random_connected_graph(random.Random(1), 5)]
     cases += [(make_cartesian_product(g, h), reference_cartesian_product(g, h))
@@ -160,6 +161,16 @@ def test_builders_match_edge_set_references():
     for graph, (adjacency, labels) in cases:
         assert graph.adjacency == adjacency, (graph.family, graph.params)
         assert list(graph.labels.items()) == list(labels.items()), (graph.family, graph.params)
+    # the builders skip Graph's checks; the checking constructor (simple,
+    # symmetric, bijective labels, connected) must accept every graph they
+    # make, and see the same edge count and cycle product in its edge set
+    for graph, _ in cases[:n_built_in]:
+        checked = Graph(n=graph.n, adjacency=graph.adjacency, labels=graph.labels,
+                        family=graph.family, params=graph.params)
+        assert checked.edge_count == graph.edge_count, (graph.family, graph.params)
+        assert np.array_equal(checked._pair_keys, graph._pair_keys), (graph.family, graph.params)
+        assert graphs.family_dims(checked) == graphs.family_dims(graph) is not None, \
+            (graph.family, graph.params)
 
 
 def test_distances_fall_back_to_bfs_when_family_does_not_match():
