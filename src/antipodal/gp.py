@@ -2,23 +2,29 @@
 
 Emits, per residue class of n, an explicit vertex ordering whose odd/even
 consecutive distances alternate between the diameter and a short constant,
-the matching antipodal coloring (k = diameter - 1), and the closed-form
-span.  Every construction passes ``results.checked_construction`` before
-it is returned; ``validate_gp_ordering`` scans the emitted ordering on BFS
-distances.  Every class except n = 4t+2 with t even yields a coloring that
-the minimality certificate accepts, pinning the antipodal number exactly;
-the remaining class only gives an upper bound and its certificate fails at
-the two-step-slack clause.
+the antipodal coloring (k = diameter - 1) that the shared pair-chain rule
+``results.chain_colors`` gives it, and the closed-form span.  Every
+construction passes ``results.checked_construction`` before it is
+returned; ``validate_gp_ordering`` scans the emitted ordering on BFS
+distances.
+
+For n = 4t+2 with t even the pair chain spans (n-1)(n+2)/4, below the
+published (n^2+5n-6)/4.  That equals the triameter bound
+floor((V-1)/2) * ceil((3*diam - tri)/2) with tri = n + 2, but the library
+proves no lower bound yet, so the class is reported as an upper bound with
+the published value alongside.  Every other class reproduces the published
+span and is reported exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .graphs import GraphError, all_pairs_distances, distances, make_gp
 from .radio import Coloring
 from .results import (EXACT, UPPER_BOUND, Construction, FormulaResult, PatternReport,
-                      checked_construction, pattern_mismatches)
+                      chain_colors, checked_construction, pattern_mismatches)
 
 CASE_4T = "4t"
 CASE_4T1 = "4t+1"
@@ -53,8 +59,9 @@ def gp_case(n: int) -> GpCase:
 def gp_ac_formula(n: int) -> FormulaResult:
     """Closed-form antipodal span per residue class of n.
 
-    Exact for every class except n = 4t+2 with t even, where the value is
-    only an upper bound.
+    Exact for every class except n = 4t+2 with t even.  There the value is
+    the pair chain's (n-1)(n+2)/4, reported as an upper bound, with the
+    published (n^2+5n-6)/4 as ``printed_value``.
     """
     case = gp_case(n)
     if case.label == CASE_4T:
@@ -63,9 +70,14 @@ def gp_ac_formula(n: int) -> FormulaResult:
         return FormulaResult((n * n + 2 * n - 3) // 4, EXACT, case.label)
     if case.label == CASE_4T3:
         return FormulaResult((n * n - 1) // 4, EXACT, case.label)
-    value = (n * n + 5 * n - 6) // 4
-    status = EXACT if case.label == CASE_4T2_ODD else UPPER_BOUND
-    return FormulaResult(value, status, case.label)
+    published = (n * n + 5 * n - 6) // 4
+    if case.label == CASE_4T2_ODD:
+        return FormulaResult(published, EXACT, case.label)
+    derived = (n - 1) * (n + 2) // 4
+    note = (f"published closed form gives {published}; the pair-chain "
+            f"construction attains {derived}")
+    return FormulaResult(derived, UPPER_BOUND, case.label,
+                         printed_value=Fraction(published), discrepancy=note)
 
 
 # Outer-cycle subscript step between consecutive odd positions, by case.
@@ -73,15 +85,6 @@ _STEP = {
     CASE_4T1: lambda n: (n - 1) // 4,
     CASE_4T2_ODD: lambda n: (n - 2) // 4,
     CASE_4T2_EVEN: lambda n: (n + 2) // 4,
-    CASE_4T3: lambda n: (n + 1) // 4,
-}
-
-# Color increment applied on each even -> odd step, by case.
-_INCREMENT = {
-    CASE_4T: lambda n: n // 4 + 1,
-    CASE_4T1: lambda n: (n + 3) // 4,
-    CASE_4T2_ODD: lambda n: (n + 6) // 4,
-    CASE_4T2_EVEN: lambda n: (n + 6) // 4,
     CASE_4T3: lambda n: (n + 1) // 4,
 }
 
@@ -135,19 +138,16 @@ def gp_antipodal_coloring(n: int) -> Coloring:
 def gp_construction(n: int) -> Construction:
     """Graph, distances, construction ordering, coloring and formula.
 
-    Each consecutive pair shares a color; every even -> odd step adds the
-    case increment, so the span is (n - 1) times the increment, which equals
-    the closed-form branch value.  The construction check runs before the
-    record is returned.
+    The ordering is a chain of n antipodal pairs, colored by
+    ``chain_colors``: each pair shares a color, and the next pair's color
+    grows by diam - d(A_m, A_{m+1}) between consecutive anchors.  The span
+    equals the closed-form value, and the construction check confirms it
+    before the record is returned.
     """
     graph = make_gp(n)
     dist = distances(graph)
     seq = gp_ordering(n)
-    inc = _INCREMENT[gp_case(n).label](n)
-    colors = [0] * (2 * n)
-    for position, v in enumerate(seq):
-        colors[v] = position // 2 * inc
-    coloring = Coloring(colors=tuple(colors), k=dist.diameter - 1)
+    coloring = Coloring(colors=chain_colors(seq, None, dist), k=dist.diameter - 1)
     return checked_construction(graph, dist, seq, coloring, gp_ac_formula(n))
 
 

@@ -85,10 +85,6 @@ class ColorOrdering:
     def n(self) -> int:
         return len(self.order)
 
-    def color_at(self, position: int) -> int:
-        """Color of the vertex at 1-based ordinal position."""
-        return self.colors[self.order[position - 1]]
-
     def eps(self, position: int) -> int:
         """eps_j for 1-based ordinal position j in 2..n."""
         return self.epsilons[position - 2]

@@ -1,7 +1,8 @@
 """Status-carrying result types shared by the construction modules, the
-check every GP and torus construction passes before it is returned
-(``checked_construction``), and the scan of an ordering's distance pattern
-against a clause table (``pattern_mismatches``).
+one coloring rule of both families (``chain_colors``, the telescoped
+antipodal pair chain), the check every GP and torus construction passes
+before it is returned (``checked_construction``), and the scan of an
+ordering's distance pattern against a clause table (``pattern_mismatches``).
 """
 
 from __future__ import annotations
@@ -71,6 +72,22 @@ class PatternReport:
     ok: bool
     pattern: str
     mismatches: tuple[tuple[str, int, object, object], ...]
+
+
+def chain_colors(order, deltas, dist: Distances) -> tuple[int, ...]:
+    """Colors by vertex of a pair chain A_1 B_1 A_2 B_2 ...: each partner
+    B_m takes its anchor's color plus the pair's delta (``deltas`` None
+    for all zero), and the next anchor's color grows by
+    diam - d(A_m, A_{m+1}), so the last anchor's color telescopes to
+    (V/2 - 1) * diam - sum_m d(A_m, A_{m+1})."""
+    order = np.array(order, dtype=np.int64)
+    anchors = order[0::2]
+    steps = dist.diameter - dist.dists(anchors[:-1], anchors[1:])
+    anchor_colors = np.concatenate(([0], np.cumsum(steps)))
+    colors = np.zeros(len(order), dtype=np.int64)
+    colors[anchors] = anchor_colors
+    colors[order[1::2]] = anchor_colors + (np.array(deltas) if deltas else 0)
+    return tuple(colors.tolist())
 
 
 def checked_construction(graph: Graph, dist: Distances, order,

@@ -2,8 +2,9 @@
 
 For even rs every residue pair (r mod 4, s mod 4), after an orientation
 swap, falls into one of seven construction classes.  Each class emits a
-vertex ordering made of rs/2 consecutive antipodal pairs; coloring the
-m-th pair with g(A_{m+1}) = g(A_m) + diam - d(A_m, A_{m+1}) yields a valid
+vertex ordering made of rs/2 consecutive antipodal pairs, colored by the
+pair-chain rule that GP(n,1) shares (``results.chain_colors``):
+g(A_{m+1}) = g(A_m) + diam - d(A_m, A_{m+1}).  That yields a valid
 antipodal coloring whose span telescopes to
 (rs/2 - 1)*diam - sum_m d(A_m, A_{m+1}) and whose minimality certificate
 passes.  For odd rs only a lower bound is available.
@@ -36,13 +37,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 from .graphs import GraphError, all_pairs_distances, distances, make_torus
 from .radio import Coloring
 from .results import (EXACT, LOWER_BOUND, UPPER_BOUND, Construction,
                       ConstructionError, FormulaResult, PatternReport, TorusError,
-                      checked_construction, pattern_mismatches)
+                      chain_colors, checked_construction, pattern_mismatches)
 
 L00 = "(0,0)"
 L10 = "(1,0)"
@@ -420,20 +419,6 @@ def _normalized_ordering(case: TorusCase) -> tuple[list, list | None]:
     raise ConstructionError(f"no construction for ({r},{s})")
 
 
-def _chain_colors(order, deltas, dist):
-    """Colors by vertex: pairs share a color up to the pair's delta, and the
-    color of the next pair grows by diam - d(A_m, A_{m+1}), a cumulative sum
-    over the anchors A_m."""
-    order = np.array(order, dtype=np.int64)
-    anchors = order[0::2]
-    steps = dist.diameter - dist.dists(anchors[:-1], anchors[1:])
-    anchor_colors = np.concatenate(([0], np.cumsum(steps)))
-    colors = np.zeros(len(order), dtype=np.int64)
-    colors[anchors] = anchor_colors
-    colors[order[1::2]] = anchor_colors + (np.array(deltas) if deltas else 0)
-    return colors.tolist()
-
-
 def torus_construction(r: int, s: int) -> Construction:
     """Graph, distances, ordering, antipodal coloring (k = diameter - 1) and
     formula of T(r,s) for even rs, each built once in the caller's
@@ -448,8 +433,7 @@ def torus_construction(r: int, s: int) -> Construction:
     graph = make_torus(r, s)
     dist = distances(graph)
     order = [i * s + j for i, j in labels]
-    coloring = Coloring(colors=tuple(_chain_colors(order, deltas, dist)),
-                        k=case.diameter - 1)
+    coloring = Coloring(colors=chain_colors(order, deltas, dist), k=case.diameter - 1)
     return checked_construction(graph, dist, order, coloring, formula)
 
 

@@ -7,6 +7,8 @@ from __future__ import annotations
 import random
 import time
 
+from antipodal.gp import (CASE_4T, CASE_4T1, CASE_4T2_EVEN, CASE_4T2_ODD, CASE_4T3,
+                          gp_case, gp_ordering)
 from antipodal.graphs import Graph
 
 
@@ -159,9 +161,14 @@ def reference_triameter(r, s):
     by exhaustive enumeration on BFS distances."""
     from antipodal.graphs import all_pairs_distances, make_torus
 
-    dist = all_pairs_distances(make_torus(r, s)).dist
+    return reference_matrix_triameter(all_pairs_distances(make_torus(r, s)).dist)
+
+
+def reference_matrix_triameter(dist):
+    """Max of d(u,v) + d(v,w) + d(w,u) over all vertex triples of a distance
+    matrix, by exhaustive enumeration."""
     best = 0
-    for w in range(r * s):
+    for w in range(len(dist)):
         total = dist[:, [w]] + dist[[w], :] + dist
         best = max(best, int(total.max()))
     return best
@@ -367,7 +374,7 @@ def reference_pattern_mismatches(order, d, checks):
 
 
 def reference_chain_colors(order, deltas, dist):
-    """Torus pair-chain colors, pair by pair: the next anchor's color grows
+    """Pair-chain colors, pair by pair: the next anchor's color grows
     by diam - d(A_m, A_{m+1}), a partner's adds its pair's delta."""
     colors = [0] * len(order)
     g = 0
@@ -376,4 +383,27 @@ def reference_chain_colors(order, deltas, dist):
             g += dist.diameter - dist.d(order[m - 2], order[m])
         colors[order[m]] = g
         colors[order[m + 1]] = g + (deltas[m // 2] if deltas else 0)
-    return colors
+    return tuple(colors)
+
+
+# Color increment applied on each even -> odd step, by case: the published
+# constant-increment rule, kept as the reference for the pair chain.
+_INCREMENT = {
+    CASE_4T: lambda n: n // 4 + 1,
+    CASE_4T1: lambda n: (n + 3) // 4,
+    CASE_4T2_ODD: lambda n: (n + 6) // 4,
+    CASE_4T2_EVEN: lambda n: (n + 6) // 4,
+    CASE_4T3: lambda n: (n + 1) // 4,
+}
+
+
+def reference_gp_colors(n):
+    """Colors by vertex of GP(n,1) under the published rule: the j-th pair of
+    ``gp_ordering(n)`` (0-based) gets j times its case's increment.  Valid
+    for every n; equal to the pair chain except at n = 2 (mod 8), where its
+    span is the published (n^2 + 5n - 6)/4."""
+    inc = _INCREMENT[gp_case(n).label](n)
+    colors = [0] * (2 * n)
+    for position, v in enumerate(gp_ordering(n)):
+        colors[v] = position // 2 * inc
+    return tuple(colors)

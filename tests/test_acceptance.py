@@ -12,9 +12,8 @@ import pytest
 
 from antipodal.graphs import (all_pairs_distances, closed_form_diameter,
                               cyclic_distance, make_cycle, make_gp, make_torus)
-from antipodal.radio import (CLAUSE_TWO_STEP, minimality_certificate,
-                             order_by_color, ordering_from_sequence, span,
-                             span_identity_residual, verify_radio_k)
+from antipodal.radio import (minimality_certificate, order_by_color, ordering_from_sequence,
+                             span, span_identity_residual, verify_radio_k)
 from antipodal.results import EXACT, LOWER_BOUND, UPPER_BOUND
 from antipodal.gp import gp_ac_formula, gp_construction
 from antipodal.torus import (L20, LODD, torus_ac_formula,
@@ -23,7 +22,8 @@ from antipodal.torus import (L20, LODD, torus_ac_formula,
 from antipodal.solver import SOLVED, exact_rc_k
 from antipodal.span_check import SpanCheckError, check_certified_span
 
-from conftest import greedy_valid_coloring, random_connected_graph, reference_triameter
+from conftest import (greedy_valid_coloring, random_connected_graph,
+                      reference_matrix_triameter, reference_triameter)
 
 GP_EXACT_NS = [3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17, 19, 20, 21, 23, 24]
 
@@ -57,9 +57,13 @@ def test_criterion_1_gp_exact_branches():
 
 
 def test_criterion_2_gp_open_branch():
+    # n = 2 (mod 8): the pair chain meets the triameter bound
+    # floor((V - 1)/2) * ceil((3 diam - tri)/2), below the published
+    # (n^2 + 5n - 6)/4.  The certificate alone proves no minimality, so the
+    # status stays UpperBound and the published value is kept alongside.
     started = time.monotonic()
     failures = []
-    for n, expected in ((10, 36), (18, 102)):
+    for n, expected, published in ((10, 27, 36), (18, 85, 102)):
         graph, dist, ordering, coloring, formula = gp_construction(n)
         if not verify_radio_k(graph, dist, coloring).valid:
             failures.append(f"n={n}: coloring invalid")
@@ -67,11 +71,15 @@ def test_criterion_2_gp_open_branch():
             failures.append(f"n={n}: span {span(coloring)} != {expected}")
         if formula.status != UPPER_BOUND:
             failures.append(f"n={n}: status {formula.status} != UpperBound")
-        cert = minimality_certificate(ordering, dist)
-        if cert.certified or not cert.failures:
-            failures.append(f"n={n}: certificate unexpectedly certified")
-        if {f[1] for f in cert.failures} != {CLAUSE_TWO_STEP}:
-            failures.append(f"n={n}: failed clauses {set(f[1] for f in cert.failures)}")
+        if formula.printed_value != published:
+            failures.append(f"n={n}: printed value {formula.printed_value} != {published}")
+        bfs = all_pairs_distances(graph)
+        tri = reference_matrix_triameter(bfs.dist)
+        bound = (graph.n - 1) // 2 * -((tri - 3 * bfs.diameter) // 2)
+        if span(coloring) != bound:
+            failures.append(f"n={n}: span {span(coloring)} != triameter bound {bound}")
+        if not minimality_certificate(ordering, dist).certified:
+            failures.append(f"n={n}: certificate not certified")
     _report("criterion-2 gp-open-branch", started, 1.0, failures)
 
 

@@ -11,6 +11,8 @@ from antipodal import cli, graphs, span_check
 from antipodal.cli import main
 from antipodal.serialize import coloring_to_dot, dumps_canonical
 
+from conftest import reference_gp_colors
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -60,11 +62,19 @@ def test_verify_certificate_status(capsys, tmp_path):
     run_cli(capsys, "gen", "--family", "gp", "--n", "8", "--out", str(path))
     code, out, _ = run_cli(capsys, "verify", str(path))
     assert json.loads(out)["certificate"] == "Certified"
+    # GP(10) under the published constant-increment rule, span 36, along
+    # the construction ordering: valid, but the two-step clause fails
     path10 = tmp_path / "gp10.json"
     run_cli(capsys, "gen", "--family", "gp", "--n", "10", "--out", str(path10))
+    data = json.loads(path10.read_text())
+    data["colors"] = list(reference_gp_colors(10))
+    data["meta"]["claimed_span"] = 36
+    path10.write_text(json.dumps(data))
     code, out, _ = run_cli(capsys, "verify", str(path10))
     assert code == 0  # the coloring is valid even though minimality is open
-    assert json.loads(out)["certificate"] == "CriterionFailed"
+    report = json.loads(out)
+    assert (report["valid"], report["span"]) == (True, 36)
+    assert report["certificate"] == "CriterionFailed"
 
 
 def test_verify_rejects_tampered_file(capsys, tmp_path):
@@ -117,8 +127,10 @@ def test_formula_command(capsys):
     code, out, _ = run_cli(capsys, "formula", "--family", "gp", "--n", "10")
     assert code == 0
     data = json.loads(out)
-    assert data == {"value": 36, "status": "UpperBound", "case_label": "4t+2(t even)",
-                    "printed_value": None, "discrepancy": None}
+    assert data == {"value": 27, "status": "UpperBound", "case_label": "4t+2(t even)",
+                    "printed_value": "36",
+                    "discrepancy": "published closed form gives 36; the pair-chain "
+                                   "construction attains 27"}
     code, out, _ = run_cli(capsys, "formula", "--family", "torus", "--r", "6", "--s", "4")
     data = json.loads(out)
     assert data["value"] == 33 and data["discrepancy"]
@@ -200,13 +212,14 @@ def test_table_gp_json(capsys):
     rows = json.loads(out)
     assert len(rows) == 8
     spans = {row["params"]: row["construction_span"] for row in rows}
-    assert spans["n=8"] == 21 and spans["n=5"] == 8
+    assert spans["n=8"] == 21 and spans["n=5"] == 8 and spans["n=10"] == 27
     for row in rows:
-        if row["formula_status"] == "Exact":
-            assert row["construction_span"] == row["formula_value"]
-            assert row["certificate"] == "Certified"
-        else:
-            assert row["certificate"] == "CriterionFailed"
+        assert row["construction_span"] == row["formula_value"]
+        assert row["certificate"] == "Certified"
+        # n = 10 meets the triameter bound, but only as an upper bound
+        expected = ("UpperBound", "published closed form gives 36; the pair-chain "
+                    "construction attains 27") if row["params"] == "n=10" else ("Exact", "")
+        assert (row["formula_status"], row["discrepancy"]) == expected
 
 
 def test_export_dot(capsys, tmp_path):

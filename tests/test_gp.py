@@ -5,16 +5,18 @@ import pytest
 from antipodal import gp
 from antipodal.cli import main
 from antipodal.graphs import all_pairs_distances, make_gp
-from antipodal.radio import minimality_certificate, span, verify_radio_k
+from antipodal.radio import minimality_certificate, radio_violations, span, verify_radio_k
 from antipodal.gp import (CASE_4T, CASE_4T1, CASE_4T2_EVEN, CASE_4T2_ODD,
                           CASE_4T3, gp_ac_formula, gp_antipodal_coloring,
                           gp_case, gp_construction, gp_ordering,
                           validate_gp_ordering)
 from antipodal.results import EXACT, UPPER_BOUND, ConstructionError, TorusError
 
-EXPECTED_SPANS = {3: 2, 4: 6, 5: 8, 6: 15, 7: 12, 8: 21, 9: 24, 10: 36,
+from conftest import reference_gp_colors, reference_matrix_triameter
+
+EXPECTED_SPANS = {3: 2, 4: 6, 5: 8, 6: 15, 7: 12, 8: 21, 9: 24, 10: 27,
                   11: 30, 12: 44, 13: 48, 14: 65, 15: 56, 16: 75, 17: 80,
-                  18: 102, 19: 90, 20: 114, 21: 120, 22: 147, 23: 132, 24: 161}
+                  18: 85, 19: 90, 20: 114, 21: 120, 22: 147, 23: 132, 24: 161}
 
 
 def test_case_labels():
@@ -32,9 +34,9 @@ def test_formula_examples():
     r3 = gp_ac_formula(3)
     assert (r3.value, r3.status) == (2, EXACT)
     r10 = gp_ac_formula(10)
-    assert (r10.value, r10.status) == (36, UPPER_BOUND)
+    assert (r10.value, r10.status, r10.printed_value) == (27, UPPER_BOUND, 36)
     r18 = gp_ac_formula(18)
-    assert (r18.value, r18.status) == (102, UPPER_BOUND)
+    assert (r18.value, r18.status, r18.printed_value) == (85, UPPER_BOUND, 102)
 
 
 @pytest.mark.parametrize("n", sorted(EXPECTED_SPANS))
@@ -43,18 +45,28 @@ def test_construction_verifies_and_matches_formula(n):
     assert coloring.k == dist.diameter - 1
     assert verify_radio_k(graph, dist, coloring).valid
     assert span(coloring) == formula.value == EXPECTED_SPANS[n]
-    cert = minimality_certificate(ordering, dist)
+    assert minimality_certificate(ordering, dist).certified
+    # the certificate alone does not prove minimality, so n = 2 (mod 8)
+    # stays an upper bound below the published value
     if n % 8 == 2:
-        assert cert.status == "CriterionFailed"
+        assert (formula.status, formula.printed_value) == (UPPER_BOUND, (n * n + 5 * n - 6) // 4)
     else:
-        assert cert.certified
+        assert (formula.status, formula.printed_value) == (EXACT, None)
 
 
-def test_construction_check_rejects_a_short_increment(monkeypatch, capsys):
-    # one less than the case increment breaks the radio condition; the check
-    # names the offending vertices by their ("x", i) / ("y", i) labels
-    increment = gp._INCREMENT[CASE_4T]
-    monkeypatch.setitem(gp._INCREMENT, CASE_4T, lambda n: increment(n) - 1)
+def test_construction_check_rejects_a_broken_pair(monkeypatch, capsys):
+    # swapping pair 0's partner with pair 1's anchor puts two non-antipodal
+    # vertices in one pair, so they share a color and break the radio
+    # condition; the check names the offending vertices by their
+    # ("x", i) / ("y", i) labels
+    ordering = gp.gp_ordering
+
+    def broken(n):
+        seq = ordering(n)
+        seq[1], seq[2] = seq[2], seq[1]
+        return seq
+
+    monkeypatch.setattr(gp, "gp_ordering", broken)
     with pytest.raises(ConstructionError, match=r"antipodal condition fails between "
                        r"\('[xy]', \d+\) and \('[xy]', \d+\) \(color gap \d+ < \d+\) for \(8\)") as info:
         gp_construction(8)
@@ -145,15 +157,36 @@ def test_odd_n_geodesic_alternative():
                 assert ok1 or ok2, (n, u, w)
 
 
-def test_upper_bound_case_fails_only_second_clause():
-    for n in (10, 18):
-        _, dist, ordering, coloring, formula = gp_construction(n)
-        cert = minimality_certificate(ordering, dist)
-        assert formula.status == UPPER_BOUND
-        clauses = {f[1] for f in cert.failures}
-        assert clauses == {"two-step-slack"}
+def test_upper_bound_case_reports_printed_value():
+    for n in (10, 18, 26):
+        formula = gp_construction(n).formula
+        assert (formula.value, formula.status) == ((n - 1) * (n + 2) // 4, UPPER_BOUND)
+        assert formula.printed_value == (n * n + 5 * n - 6) // 4
+        assert formula.discrepancy == (
+            f"published closed form gives {formula.printed_value}; the pair-chain "
+            f"construction attains {formula.value}")
 
 
 def test_coloring_min_color_zero():
     for n in (3, 8, 10, 13):
         assert min(gp_antipodal_coloring(n).colors) == 0
+
+
+def test_pair_chain_matches_published_increments_off_2_mod_8():
+    for n in range(3, 301):
+        if n % 8 != 2:
+            assert gp_construction(n).coloring.colors == reference_gp_colors(n), n
+
+
+def test_pair_chain_census_2_mod_8():
+    for n in range(10, 1003, 8):
+        graph, dist, _, coloring, formula = gp_construction(n)
+        # triameter bound floor((V - 1)/2) * ceil((3 diam - tri)/2), tri = n + 2
+        bound = (graph.n - 1) // 2 * -((n + 2 - 3 * dist.diameter) // 2)
+        assert span(coloring) == formula.value == (n - 1) * (n + 2) // 4 == bound, n
+        assert not radio_violations(coloring.colors, coloring.k, dist), n
+        if n <= 66:
+            bfs = all_pairs_distances(graph)
+            assert not radio_violations(coloring.colors, coloring.k, bfs), n
+            if n <= 18:
+                assert reference_matrix_triameter(bfs.dist) == n + 2

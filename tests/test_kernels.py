@@ -1,7 +1,7 @@
 """The array kernels against the scalar loops they replaced (``reference_*``
 in conftest): graph checks, the family edge-set check, radio violations,
 slacks, the slack identity, the certificate, the pattern scan and the
-torus chain colors.  Seeded random inputs, valid and invalid, on both
+pair-chain colors.  Seeded random inputs, valid and invalid, on both
 distance classes."""
 
 import random
@@ -10,13 +10,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from antipodal import radio, torus
+from antipodal import radio
 from antipodal.families import construct
 from antipodal.graphs import (CycleProductDistances, Graph, GraphError, all_pairs_distances,
                               distances, family_dims, make_cycle, make_gp, make_torus)
 from antipodal.radio import (Coloring, minimality_certificate, order_by_color,
                              ordering_from_sequence, radio_violations, span_identity_residual)
-from antipodal.results import pattern_mismatches
+from antipodal.gp import gp_ordering
+from antipodal.results import chain_colors, pattern_mismatches
 
 from conftest import (greedy_valid_coloring, random_connected_graph, reference_certificate_failures,
                       reference_chain_colors, reference_epsilons, reference_family_dims,
@@ -182,8 +183,15 @@ def test_chain_colors_match_reference():
             order = list(range(r * s))
             rng.shuffle(order)
             deltas = rng.choice((None, [rng.randrange(3) for _ in range(r * s // 2)]))
-            assert torus._chain_colors(order, deltas, dist) == reference_chain_colors(
+            assert chain_colors(order, deltas, dist) == reference_chain_colors(
                 order, deltas, dist)
+    # GP's construction orderings, every residue class, on both distance classes
+    for n in range(3, 27):
+        graph = make_gp(n)
+        order = gp_ordering(n)
+        for dist in (distances(graph), all_pairs_distances(graph)):
+            assert chain_colors(order, None, dist) == reference_chain_colors(
+                order, None, dist), n
 
 
 def _mutations(graph, rng):

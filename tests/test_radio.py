@@ -5,10 +5,10 @@ from antipodal.radio import (CLAUSE_TWO_STEP, Coloring, RadioError,
                              minimality_certificate, order_by_color,
                              ordering_from_sequence, span, span_identity_residual,
                              verify_radio_k)
-from antipodal.gp import gp_construction
+from antipodal.gp import gp_construction, gp_ordering
 from antipodal.torus import torus_antipodal_coloring, torus_ordering
 
-from conftest import reference_verify
+from conftest import reference_gp_colors, reference_verify
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +108,13 @@ def test_residual_equals_min_color_offset(c4):
 def test_certificate_examples_gp():
     _, dist8, ordering8, _, _ = gp_construction(8)
     assert minimality_certificate(ordering8, dist8).certified
-    _, dist10, ordering10, _, _ = gp_construction(10)
+    # GP(10) under the published constant-increment rule: valid, span 36,
+    # and its ordering breaks the two-step clause
+    graph10 = make_gp(10)
+    dist10 = all_pairs_distances(graph10)
+    coloring10 = Coloring(reference_gp_colors(10), k=dist10.diameter - 1)
+    assert verify_radio_k(graph10, dist10, coloring10).valid and span(coloring10) == 36
+    ordering10 = ordering_from_sequence(coloring10, dist10, gp_ordering(10))
     cert10 = minimality_certificate(ordering10, dist10)
     assert cert10.status == "CriterionFailed"
     assert cert10.failures and all(f[1] == CLAUSE_TWO_STEP for f in cert10.failures)
