@@ -11,7 +11,8 @@ from .graphs import (CycleProductDistances, Graph, DistanceMatrix, GraphError,
                      make_torus)
 from .radio import (Coloring, ColorOrdering, MinimalityCertificate, RadioError,
                     VerificationReport, minimality_certificate, order_by_color,
-                    ordering_from_sequence, span, span_identity_residual,
+                    ordering_from_sequence, pattern_certificate, span,
+                    span_identity_residual, triameter, triameter_bound,
                     verify_radio_k)
 from .results import (EXACT, LOWER_BOUND, UPPER_BOUND, Construction, FormulaResult,
                       PatternReport)

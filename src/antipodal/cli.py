@@ -17,8 +17,8 @@ import sys
 from math import isfinite, prod
 
 from .graphs import GraphError, closed_form_diameter, distances, family_cycles
-from .radio import (RadioError, minimality_certificate, order_by_color,
-                    ordering_from_sequence, span, span_identity_residual,
+from .radio import (RadioError, order_by_color, ordering_from_sequence,
+                    pattern_certificate, span, span_identity_residual,
                     verify_radio_k)
 from .torus import ConstructionError, TorusError, torus_case
 from .solver import TIMED_OUT, exact_rc_k
@@ -91,7 +91,7 @@ def cmd_verify(args) -> int:
     residual = span_identity_residual(ordering, dist)
     cert = None
     if coloring.k == dist.diameter - 1:
-        cert = minimality_certificate(ordering, dist)
+        cert = pattern_certificate(ordering, dist)
     lines = {
         "valid": report.valid,
         "span": span(coloring),
@@ -159,7 +159,7 @@ def _row(family: str, params: dict) -> dict:
     except TorusError:  # odd rs: the formula is only a lower bound
         return row
     row["construction_span"] = span(coloring)
-    row["certificate"] = minimality_certificate(ordering, dist).status
+    row["certificate"] = pattern_certificate(ordering, dist).status
     return row
 
 

@@ -4,10 +4,14 @@ A radio k-coloring assigns non-negative integer colors so that every vertex
 pair (u, v) satisfies |g(u) - g(v)| >= 1 + k - d(u, v).  The antipodal case
 is k = d - 1.  Along any color-sorted vertex ordering the per-step slack
 eps_j = g(v_j) - g(v_{j-1}) - (1 + k - d(v_j, v_{j-1})) is non-negative, and
-the span telescopes to (n-1)(k+1) - sum d + sum eps.  The minimality
-certificate checks the sufficient condition that consecutive odd-position
-pairs are diametral and every two-step distance equals the shorter distance
-plus the interleaved slacks.
+the span telescopes to (n-1)(k+1) - sum d + sum eps.  The pattern
+certificate checks the paper's condition that consecutive odd-position pairs
+are diametral and every two-step distance equals the shorter distance plus
+the interleaved slacks.  That pattern does not imply minimality (GP(5)'s
+span-8 construction passes it; the optimum is 6), so the minimality
+certificate adds a clause that does: the span equals the triameter lower
+bound floor((V-1)/2) * ceil((3*diam - tri)/2), which holds for every valid
+antipodal coloring of any graph.
 
 Every check here is an array kernel that reads its distances through
 ``Distances.dists`` on whole arrays of vertex pairs.  ``radio_violations``
@@ -25,12 +29,13 @@ from operator import index
 
 import numpy as np
 
-from .graphs import Distances, Graph
+from .graphs import CycleProductDistances, Distances, Graph
 
 CLAUSE_DIAMETRAL = "diametral-pair"
 CLAUSE_TWO_STEP = "two-step-slack"
 CLAUSE_FINAL_PAIR = "final-pair"
 CLAUSE_FINAL_SLACK = "final-slack"
+CLAUSE_LOWER_BOUND = "triameter-bound"
 
 
 class RadioError(ValueError):
@@ -218,15 +223,42 @@ class MinimalityCertificate:
         return self.status == "Certified"
 
 
-def minimality_certificate(ordering: ColorOrdering,
-                           dist: Distances) -> MinimalityCertificate:
-    """Check the sufficient minimality condition for antipodal colorings.
+def triameter(dist: Distances) -> int:
+    """An upper bound on max d(u,v) + d(v,w) + d(w,u) over vertex triples,
+    exact for cycles, GP(n,1) and tori.
+
+    On a product of cycles the factors add, C_m contributing at most m (2
+    for K_2 = C_2, 0 for C_1).  A distance matrix is scanned row by row
+    in O(V^3).
+    """
+    if isinstance(dist, CycleProductDistances):
+        return sum(m for m in (dist.r, dist.s) if m > 1)
+    d = dist.dist
+    return max(int((row[:, None] + row[None, :] + d).max()) for row in d)
+
+
+def triameter_bound(dist: Distances) -> int:
+    """Lower bound floor((V-1)/2) * ceil((3*diam - tri)/2) on the span of
+    every valid antipodal coloring.
+
+    For three vertices consecutive in color order the three antipodal
+    conditions add to 2 * (g(w) - g(u)) >= 3*diam - tri, and the V - 1
+    color steps hold floor((V-1)/2) disjoint such two-step gaps.
+    """
+    gap = -((triameter(dist) - 3 * dist.diameter) // 2)
+    return (dist.n - 1) // 2 * max(gap, 0)
+
+
+def pattern_certificate(ordering: ColorOrdering,
+                        dist: Distances) -> MinimalityCertificate:
+    """Check the paper's sufficient-condition pattern for antipodal colorings.
 
     Requires k = diameter - 1.  For even n, every odd ordinal j <= n-3 must
     satisfy d(v_j, v_{j+1}) = diam and
     d(v_{j+1}, v_{j+2}) = d(v_j, v_{j+2}) + eps_{j+1} + eps_{j+2}, and the
     final pair must be diametral with eps_n = 0.  For odd n the same two
-    clauses run over odd j <= n-2.
+    clauses run over odd j <= n-2.  The pattern alone does not prove
+    minimality; ``minimality_certificate`` adds the clause that does.
     """
     diam = dist.diameter
     if ordering.k != diam - 1:
@@ -254,3 +286,19 @@ def minimality_certificate(ordering: ColorOrdering,
             failures.append((n, CLAUSE_FINAL_SLACK, ordering.eps(n), 0))
     status = "Certified" if not failures else "CriterionFailed"
     return MinimalityCertificate(status=status, failures=tuple(failures))
+
+
+def minimality_certificate(ordering: ColorOrdering,
+                           dist: Distances) -> MinimalityCertificate:
+    """``pattern_certificate`` plus the clause that the span equals
+    ``triameter_bound``.  Certified only when every clause holds, and the
+    bound clause alone proves that a valid coloring has minimum span.
+
+    The bound clause is reported as (n, "triameter-bound", span, bound).
+    """
+    pattern = pattern_certificate(ordering, dist)
+    observed, bound = max(ordering.colors), triameter_bound(dist)
+    if observed == bound:
+        return pattern
+    failures = pattern.failures + ((ordering.n, CLAUSE_LOWER_BOUND, observed, bound),)
+    return MinimalityCertificate(status="CriterionFailed", failures=failures)

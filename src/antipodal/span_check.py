@@ -1,7 +1,7 @@
 """Exhaustive check of the spans that minimality-certified torus colorings reach.
 
 A valid antipodal coloring of T(r,s) (rs even) passes
-``minimality_certificate`` on a color-sorted ordering exactly when that
+``pattern_certificate`` on a color-sorted ordering exactly when that
 ordering is a chain of rs/2 consecutive diametral pairs (A_m, B_m) whose
 colors obey three rules:
 

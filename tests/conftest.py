@@ -327,7 +327,7 @@ def reference_residual(ordering, dist):
 
 
 def reference_certificate_failures(ordering, dist):
-    """``minimality_certificate`` failures, position by position."""
+    """``pattern_certificate`` failures, position by position."""
     from antipodal.radio import (CLAUSE_DIAMETRAL, CLAUSE_FINAL_PAIR,
                                  CLAUSE_FINAL_SLACK, CLAUSE_TWO_STEP)
 

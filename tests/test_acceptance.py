@@ -12,7 +12,7 @@ import pytest
 
 from antipodal.graphs import (all_pairs_distances, closed_form_diameter,
                               cyclic_distance, make_cycle, make_gp, make_torus)
-from antipodal.radio import (minimality_certificate, order_by_color, ordering_from_sequence,
+from antipodal.radio import (order_by_color, ordering_from_sequence, pattern_certificate,
                              span, span_identity_residual, verify_radio_k)
 from antipodal.results import EXACT, LOWER_BOUND, UPPER_BOUND
 from antipodal.gp import gp_ac_formula, gp_construction
@@ -47,7 +47,7 @@ def test_criterion_1_gp_exact_branches():
             failures.append(f"n={n}: span {span(coloring)} != {formula.value}")
         if formula.status != EXACT:
             failures.append(f"n={n}: status {formula.status}")
-        if not minimality_certificate(ordering, dist).certified:
+        if not pattern_certificate(ordering, dist).certified:
             failures.append(f"n={n}: certificate not certified")
     expected_samples = {8: 21, 5: 8, 7: 12, 6: 15}
     for n, value in expected_samples.items():
@@ -78,7 +78,7 @@ def test_criterion_2_gp_open_branch():
         bound = (graph.n - 1) // 2 * -((tri - 3 * bfs.diameter) // 2)
         if span(coloring) != bound:
             failures.append(f"n={n}: span {span(coloring)} != triameter bound {bound}")
-        if not minimality_certificate(ordering, dist).certified:
+        if not pattern_certificate(ordering, dist).certified:
             failures.append(f"n={n}: certificate not certified")
     _report("criterion-2 gp-open-branch", started, 1.0, failures)
 
@@ -148,7 +148,7 @@ def test_criterion_3_torus_even_rs():
                 failures.append(
                     f"({r},{s}): span {span(coloring)} != published {published}")
             ordering = ordering_from_sequence(coloring, dist, torus_ordering(r, s))
-            if not minimality_certificate(ordering, dist).certified:
+            if not pattern_certificate(ordering, dist).certified:
                 failures.append(f"({r},{s}): not certified")
             if case.label == L20 and not formula.discrepancy:
                 failures.append(f"({r},{s}): missing discrepancy flag")

@@ -5,7 +5,8 @@ import pytest
 from antipodal import gp
 from antipodal.cli import main
 from antipodal.graphs import all_pairs_distances, make_gp
-from antipodal.radio import minimality_certificate, radio_violations, span, verify_radio_k
+from antipodal.radio import (minimality_certificate, pattern_certificate, radio_violations,
+                             span, verify_radio_k)
 from antipodal.gp import (CASE_4T, CASE_4T1, CASE_4T2_EVEN, CASE_4T2_ODD,
                           CASE_4T3, gp_ac_formula, gp_antipodal_coloring,
                           gp_case, gp_construction, gp_ordering,
@@ -45,11 +46,13 @@ def test_construction_verifies_and_matches_formula(n):
     assert coloring.k == dist.diameter - 1
     assert verify_radio_k(graph, dist, coloring).valid
     assert span(coloring) == formula.value == EXPECTED_SPANS[n]
-    assert minimality_certificate(ordering, dist).certified
-    # the certificate alone does not prove minimality, so n = 2 (mod 8)
-    # stays an upper bound below the published value
+    assert pattern_certificate(ordering, dist).certified
+    # the pattern alone does not prove minimality, so n = 2 (mod 8) stays
+    # an upper bound below the published value; its span does meet the
+    # triameter bound, which the minimality certificate checks
     if n % 8 == 2:
         assert (formula.status, formula.printed_value) == (UPPER_BOUND, (n * n + 5 * n - 6) // 4)
+        assert minimality_certificate(ordering, dist).certified
     else:
         assert (formula.status, formula.printed_value) == (EXACT, None)
 

@@ -14,8 +14,8 @@ from antipodal import radio
 from antipodal.families import construct
 from antipodal.graphs import (CycleProductDistances, Graph, GraphError, all_pairs_distances,
                               distances, family_dims, make_cycle, make_gp, make_torus)
-from antipodal.radio import (Coloring, minimality_certificate, order_by_color,
-                             ordering_from_sequence, radio_violations, span_identity_residual)
+from antipodal.radio import (Coloring, order_by_color, ordering_from_sequence,
+                             pattern_certificate, radio_violations, span_identity_residual)
 from antipodal.gp import gp_ordering
 from antipodal.results import chain_colors, pattern_mismatches
 
@@ -139,7 +139,7 @@ def test_slacks_residual_and_certificate_match_reference():
                     ordering.order, coloring.colors, coloring.k, dist)
                 assert span_identity_residual(ordering, dist) == reference_residual(ordering, dist)
                 if coloring.k == dist.diameter - 1:
-                    cert = minimality_certificate(ordering, dist)
+                    cert = pattern_certificate(ordering, dist)
                     assert cert.failures == reference_certificate_failures(ordering, dist)
                     checked += 1
     assert checked > 20
@@ -151,7 +151,7 @@ def test_certificate_of_constructions_matches_reference():
         _, dist, ordering, coloring, _ = construct(family, **params)
         for d in (dist, all_pairs_distances(make_gp(params["n"]) if family == "gp"
                                             else make_torus(params["r"], params["s"]))):
-            cert = minimality_certificate(ordering, d)
+            cert = pattern_certificate(ordering, d)
             assert cert.failures == reference_certificate_failures(ordering, d)
             assert span_identity_residual(ordering, d) == reference_residual(ordering, d)
 

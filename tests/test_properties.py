@@ -2,7 +2,7 @@
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from antipodal.graphs import (all_pairs_distances, make_cartesian_product,
                               make_cycle, make_torus)
@@ -136,11 +136,16 @@ def test_torus_shift_invariance_exhaustive():
 
 
 @given(st.integers(0, 10 ** 6))
+@example(69)
+@example(307)
+@example(398)
+@example(4833)
 @settings(max_examples=25, deadline=None)
 def test_certified_random_colorings_match_exact_solver(seed):
     # certificate soundness at desk scale: whenever a random valid
     # antipodal coloring passes the certificate, the exact solver agrees
-    # that its span is minimal
+    # that its span is minimal.  Seeds 69, 307, 398 and 4833 pass the
+    # paper's pattern alone one color above the optimum.
     from antipodal.radio import minimality_certificate
     from antipodal.solver import SOLVED, exact_rc_k
 

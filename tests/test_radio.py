@@ -1,10 +1,15 @@
+from itertools import combinations
+
 import pytest
 
-from antipodal.graphs import all_pairs_distances, make_cycle, make_gp, make_torus
-from antipodal.radio import (CLAUSE_TWO_STEP, Coloring, RadioError,
+from antipodal.graphs import (CycleProductDistances, all_pairs_distances, distances,
+                              make_cycle, make_gp, make_torus)
+from antipodal.radio import (CLAUSE_LOWER_BOUND, CLAUSE_TWO_STEP, Coloring, RadioError,
                              minimality_certificate, order_by_color,
-                             ordering_from_sequence, span, span_identity_residual,
+                             ordering_from_sequence, pattern_certificate, span,
+                             span_identity_residual, triameter, triameter_bound,
                              verify_radio_k)
+from antipodal.solver import SOLVED, exact_rc_k
 from antipodal.gp import gp_construction, gp_ordering
 from antipodal.torus import torus_antipodal_coloring, torus_ordering
 
@@ -115,9 +120,38 @@ def test_certificate_examples_gp():
     coloring10 = Coloring(reference_gp_colors(10), k=dist10.diameter - 1)
     assert verify_radio_k(graph10, dist10, coloring10).valid and span(coloring10) == 36
     ordering10 = ordering_from_sequence(coloring10, dist10, gp_ordering(10))
-    cert10 = minimality_certificate(ordering10, dist10)
+    cert10 = pattern_certificate(ordering10, dist10)
     assert cert10.status == "CriterionFailed"
     assert cert10.failures and all(f[1] == CLAUSE_TWO_STEP for f in cert10.failures)
+    # the minimality certificate reports the same clauses and the missed bound
+    assert minimality_certificate(ordering10, dist10).failures == \
+        cert10.failures + ((20, CLAUSE_LOWER_BOUND, 36, 27),)
+
+
+def test_pattern_alone_does_not_certify_minimality():
+    # GP(5)'s construction passes the paper's pattern at span 8, but the
+    # optimum is 6; the triameter-bound clause is what keeps it uncertified
+    graph, dist, ordering, coloring, _ = gp_construction(5)
+    assert pattern_certificate(ordering, dist).certified
+    cert = minimality_certificate(ordering, dist)
+    assert cert.status == "CriterionFailed"
+    assert cert.failures == ((10, CLAUSE_LOWER_BOUND, 8, 4),)
+    result = exact_rc_k(graph, dist, coloring.k)
+    assert (result.status, result.value) == (SOLVED, 6)
+
+
+def test_triameter_closed_form_matches_exhaustive_triples():
+    for graph in (make_cycle(3), make_cycle(8), make_gp(3), make_gp(6),
+                  make_torus(3, 4), make_torus(4, 5)):
+        closed, bfs = distances(graph), all_pairs_distances(graph)
+        assert isinstance(closed, CycleProductDistances)
+        d = bfs.dist
+        exhaustive = max(int(d[u, v] + d[v, w] + d[u, w])
+                         for u, v, w in combinations(range(graph.n), 3))
+        assert triameter(closed) == triameter(bfs) == exhaustive, graph.params
+        assert triameter_bound(closed) == triameter_bound(bfs)
+    # GP(10): V = 20, diam = 6, tri = 12, so 9 two-step gaps of 3
+    assert triameter_bound(distances(make_gp(10))) == 27
 
 
 def test_certificate_c4_hand_example(c4):

@@ -5,8 +5,8 @@ from itertools import product
 import pytest
 
 from antipodal.graphs import all_pairs_distances, cyclic_distance, make_torus
-from antipodal.radio import (Coloring, minimality_certificate,
-                             ordering_from_sequence, span, verify_radio_k)
+from antipodal.radio import (Coloring, ordering_from_sequence,
+                             pattern_certificate, span, verify_radio_k)
 from antipodal import span_check
 from antipodal.span_check import SpanCheckError, check_certified_span
 from antipodal.torus import torus_ac_formula
@@ -22,7 +22,7 @@ def _library_accepts(r, s, chain):
     coloring = Coloring(tuple(colors), dist.diameter - 1)
     ordering = ordering_from_sequence(coloring, dist, [v for v, _ in chain])
     return (verify_radio_k(graph, dist, coloring).valid
-            and minimality_certificate(ordering, dist).certified), span(coloring)
+            and pattern_certificate(ordering, dist).certified), span(coloring)
 
 
 def _reference_min_certified_span(r, s):

@@ -7,8 +7,8 @@ import pytest
 
 from antipodal.graphs import (CycleProductDistances, GraphError,
                               all_pairs_distances, make_torus)
-from antipodal.radio import (Coloring, minimality_certificate,
-                             ordering_from_sequence, span,
+from antipodal.radio import (Coloring, ordering_from_sequence,
+                             pattern_certificate, span,
                              span_identity_residual, verify_radio_k)
 from antipodal.results import EXACT, LOWER_BOUND, ConstructionError, pattern_mismatches
 from antipodal.torus import (L00, L10, L12, L20, L22H, L22M, L30, L32, LODD,
@@ -117,7 +117,7 @@ def test_construction_verifies_certifies_and_matches_formula(r, s):
     assert verify_radio_k(graph, dist, coloring).valid
     assert span(coloring) == formula.value
     ordering = ordering_from_sequence(coloring, dist, torus_ordering(r, s))
-    assert minimality_certificate(ordering, dist).certified
+    assert pattern_certificate(ordering, dist).certified
     assert span_identity_residual(ordering, dist) == 0
 
 
@@ -283,7 +283,7 @@ def test_t312_certified_span_override():
             for c in sorted(set(better.colors))]
     for choice in product(*(permutations(group) for group in ties)):
         order = [v for group in choice for v in group]
-        assert not minimality_certificate(
+        assert not pattern_certificate(
             ordering_from_sequence(better, dist, order), dist).certified
 
 
