@@ -180,13 +180,10 @@ def radio_violations(colors, k: int,
                      required[first].tolist(), gap[first].tolist()))
 
 
-def verify_radio_k(graph: Graph, dist: Distances, coloring: Coloring,
-                   k: int | None = None) -> VerificationReport:
-    """Check the radio condition on all vertex pairs (``radio_violations``)."""
-    if k is None:
-        k = coloring.k
-    elif k != coloring.k:
-        raise RadioError(f"coloring carries k={coloring.k}, called with k={k}")
+def verify_radio_k(graph: Graph, dist: Distances, coloring: Coloring) -> VerificationReport:
+    """Check the radio condition at the coloring's k on all vertex pairs
+    (``radio_violations``)."""
+    k = coloring.k
     if coloring.n != graph.n:
         raise RadioError("coloring size does not match graph order")
     if not 1 <= k <= dist.diameter:
@@ -195,17 +192,14 @@ def verify_radio_k(graph: Graph, dist: Distances, coloring: Coloring,
     return VerificationReport(valid=not violations, violations=violations)
 
 
-def span_identity_residual(ordering: ColorOrdering, dist: Distances,
-                           k: int | None = None) -> int:
-    """span - [(n-1)(k+1) - sum of step distances + sum of slacks].
+def span_identity_residual(ordering: ColorOrdering, dist: Distances) -> int:
+    """span - [(n-1)(k+1) - sum of step distances + sum of slacks], at the
+    ordering's k.
 
     Zero for every valid radio k-coloring whose minimum color is 0; the
     telescoping leaves exactly the minimum color behind.
     """
-    if k is None:
-        k = ordering.k
-    elif k != ordering.k:
-        raise RadioError(f"ordering carries k={ordering.k}, called with k={k}")
+    k = ordering.k
     order = np.array(ordering.order, dtype=np.int64)
     dsum = int(dist.dists(order[:-1], order[1:]).sum())
     esum = sum(ordering.epsilons)

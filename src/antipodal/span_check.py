@@ -45,7 +45,9 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 
-from .graphs import cyclic_distance
+import numpy as np
+
+from .graphs import CycleProductDistances
 
 # enumeration nodes step (4) may walk before it gives up undecided
 NODE_CAP = 5_000_000
@@ -137,8 +139,9 @@ def check_certified_span(r: int, s: int, span: int) -> SpanCheck:
         raise SpanCheckError(f"T({r},{s}): more than {VERTEX_CAP} vertices")
     pairs = n // 2
     diam = r // 2 + s // 2
-    dist = [[cyclic_distance(r, u // s, v // s) + cyclic_distance(s, u % s, v % s)
-             for v in range(n)] for u in range(n)]
+    vertices = np.arange(n)
+    table = CycleProductDistances(r, s).dists(vertices[:, None], vertices[None, :])
+    dist = table.tolist()
     # vertex index v doubles as the translation vector from vertex 0
     offsets = [v for v in range(n) if dist[0][v] == diam]
 
@@ -195,8 +198,9 @@ def check_certified_span(r: int, s: int, span: int) -> SpanCheck:
         i, j = divmod(v, s)
         return (r % 2 or 2 * i <= r) and (s % 2 or 2 * j <= s)
 
-    by_length = [[[v for v in range(n) if dist[u][v] == length]
-                  for length in range(top + 1)] for u in range(n)]
+    # each list in increasing vertex order, so the first chain found is fixed
+    by_length = [[np.flatnonzero(row == length).tolist() for length in range(top + 1)]
+                 for row in table]
 
     def extend(m, spent, prev_top, a, color, b):
         # pair (a, b) is open: a is placed at ``color``, b's gap is pending;

@@ -10,15 +10,37 @@ antipodal coloring whose span telescopes to
 passes.  For odd rs only a lower bound is available.
 
 Each normalized size picks its ordering by a fixed rule, with no trial
-candidates and no search:
+candidates and no search, from one of two generators:
 
-- (0,0) and (2,0): the published block, copied with the (1,1) shift;
-- (1,0): the same, except at r = 5, where the copies shift by (4, s/2 + 1);
-- (3,0): the two-pair period when r >= 7 or s = 4, and at T(3,12), where it
-  is a certified chain of span 62 (``_CERTIFIED_SPAN_OVERRIDES``);
-- (3,2) and (1,2): parity rows when s = 2 (mod 8), a zigzag row sweep when
-  s = 6 (for (1,2) only when gcd((3r-7)/4, r) = 1);
-- (2,2): a column sweep, by r mod 8.
+- ``_blocks(r, s, rows, shift)`` builds a base block of pairs and its
+  copies j < s/4, each moved by j * shift.  In each row of the block the
+  anchors step along the first coordinate, and every pair has a fixed
+  partner offset and delta.
+- ``_sweep(r, s, outer, inner, u, v, w, off)`` places, for q < outer and
+  p < inner, an anchor at q*u + p*v (plus w when p is odd) and its partner
+  at anchor + off.
+
+The classes, as parameters of those two (a = (r+1)/4 for (3,2) and
+(r-1)/4 for (1,2)):
+
+- (0,0): one row of r anchors with step (r+2)/2, pairs at (0,0) and
+  (3r/4, 3s/4), offset (r/2, s/2), shift (1,1);
+- (2,0): two rows of r/2 anchors, steps (r-2)/2 and (r+2)/2, offset
+  (r/2, s/2), shift (1,1);
+- (1,0): one row with step (r+1)/2, offset ((r-1)/2, s/2), shift (1,1),
+  or (4, s/2 + 1) at r = 5, where (1,1) breaks the block seams;
+- (3,0), when r >= 7 or s = 4, and at T(3,12), where it is a certified
+  chain of span 62 (``_CERTIFIED_SPAN_OVERRIDES``): one row with step
+  h = (r-1)/2, pairs ((0,0), (h, s/2), delta 1) and
+  (((r-3)/4, s/4), (h+1, s/2), delta 0), shift (1,1);
+- (3,2) and (1,2), s = 2 (mod 8): parity rows, a sweep with outer s/2,
+  inner r, u = w = (0, (s-2)/4), v = (a, 0), off ((r+1)/2, s/2);
+- (3,2) and (1,2), s = 6: a zigzag, a sweep with outer r, inner 3,
+  u = (3a-1, 0), v = (a, 1), w = 0, off ((r+1)/2, s/2); for (1,2) only
+  when gcd(3a-1, r) = 1;
+- (2,2): a column sweep with outer r, inner s/2, u = ((r-2)/4, 0) when
+  r = 6 (mod 8) and ((r+2)/4, 0) otherwise, v = (0, (s+2)/4),
+  w = ((r-2)/4, 0), off (r/2, s/2).
 
 T(3,8) and T(3,14) use a certified pair chain stored as data; every other
 size raises ``ConstructionError`` at once.  A census of every normalized
@@ -37,8 +59,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .graphs import GraphError, all_pairs_distances, distances, make_torus
-from .radio import Coloring
+from .graphs import (CycleProductDistances, GraphError, all_pairs_distances, distances,
+                     make_torus)
+from .radio import Coloring, triameter
 from .results import (EXACT, LOWER_BOUND, UPPER_BOUND, Construction,
                       ConstructionError, FormulaResult, PatternReport, TorusError,
                       chain_colors, checked_construction, pattern_mismatches)
@@ -67,10 +90,6 @@ class TorusCase:
     s: int
     label: str
     swapped: bool
-
-    @property
-    def diameter(self) -> int:
-        return self.r // 2 + self.s // 2
 
 
 def torus_case(r: int, s: int) -> TorusCase:
@@ -103,155 +122,45 @@ def torus_case(r: int, s: int) -> TorusCase:
 
 
 # ---------------------------------------------------------------------------
-# ordering builders (normalized coordinate space)
+# ordering generators (normalized coordinate space)
 # ---------------------------------------------------------------------------
 
-def _with_shifts(base, r, s, shift):
-    """Append copies of the base block translated by multiples of ``shift``."""
-    out = list(base)
+def _blocks(r, s, rows, shift):
+    """A base block of antipodal pairs, then its copies j = 1 .. s/4 - 1,
+    each moved by j * ``shift``.
+
+    Each row is (count, step, pairs).  Its i-th anchor point, i < count, is
+    (i * step, 0), and each (anchor, offset, delta) in ``pairs`` puts a pair
+    there: its anchor at that point + anchor, its partner at the anchor +
+    offset.  Returns the labels and the per-pair deltas.
+    """
+    base, pair_deltas = [], []
+    for count, step, pairs in rows:
+        for i in range(count):
+            for (x, y), (dx, dy), delta in pairs:
+                x += i * step
+                base += [(x % r, y % s), ((x + dx) % r, (y + dy) % s)]
+                pair_deltas.append(delta)
     c1, c2 = shift
-    for j in range(1, s // 4):
-        out.extend(((i + j * c1) % r, (jj + j * c2) % s) for i, jj in base)
-    return out
+    labels = [((x + j * c1) % r, (y + j * c2) % s)
+              for j in range(s // 4) for x, y in base]
+    return labels, pair_deltas * (s // 4)
 
 
-def _order_00(r, s):
-    base = []
-    for i in range(r):
-        a = i * (r + 2) // 2
-        base += [(a % r, 0),
-                 ((a + r // 2) % r, s // 2),
-                 ((a + 3 * r // 4) % r, 3 * s // 4),
-                 ((a + r // 4) % r, s // 4)]
-    return _with_shifts(base, r, s, (1, 1))
-
-
-def _order_10(r, s):
-    """Published (1,0) block; at r = 5 the published (1,1) copy shift
-    breaks the block seams, and the copies shift by (4, s/2 + 1)."""
-    base = []
-    for i in range(r):
-        a = i * (r + 1) // 2
-        base += [(a % r, 0),
-                 ((a + (r - 1) // 2) % r, s // 2),
-                 ((a + (3 * r + 1) // 4) % r, 3 * s // 4),
-                 ((a + (r - 1) // 4) % r, s // 4)]
-    return _with_shifts(base, r, s, (4, s // 2 + 1) if r == 5 else (1, 1))
-
-
-def _order_20(r, s):
-    base = []
-    for i in range(r // 2):
-        a = i * (r - 2) // 2
-        base += [(a % r, 0),
-                 ((a + r // 2) % r, s // 2),
-                 ((a + (r - 2) // 4) % r, s // 4),
-                 ((a + (3 * r - 2) // 4) % r, 3 * s // 4)]
-    for i in range(r // 2):
-        a = i * (r + 2) // 2
-        base += [(a % r, s // 2),
-                 ((a + r // 2) % r, 0),
-                 ((a + (3 * r + 2) // 4) % r, 3 * s // 4),
-                 ((a + (r + 2) // 4) % r, s // 4)]
-    return _with_shifts(base, r, s, (1, 1))
-
-
-def _order_30(r, s):
-    """r = 3 (mod 4), s = 0 (mod 4): two-pair period with a unit pair gap.
-
-    Row-0 pairs use the offset ((r-1)/2, s/2) and carry colors (g, g+1);
-    row-s/4 pairs use ((r+1)/2, s/2) with equal colors.  The alternation
-    keeps every partner-side step at least as long as its anchor step,
-    which the published ordering violates.
-    """
-    u = (r - 3) // 4
-    h = (r - 1) // 2
-    labels: list[tuple[int, int]] = []
-    deltas: list[int] = []
-    for j in range(s // 4):
-        for i in range(r):
-            a = (i * h + j) % r
-            labels.append((a, j))
-            labels.append(((a + h) % r, (s // 2 + j) % s))
-            deltas.append(1)
-            labels.append(((a + u) % r, (s // 4 + j) % s))
-            labels.append(((a + u + h + 1) % r, (3 * s // 4 + j) % s))
-            deltas.append(0)
-    return labels, deltas
-
-
-def _order_parity_rows(r, s, a, pair_off):
-    """Row-major two-line scheme used by the odd-r classes when s = 2 mod 8.
-
-    Odd positions sweep the outer index i with first-coordinate step ``a``;
-    odd i bumps the second coordinate one extra (s-2)/4 step.  Works exactly
-    when (s-2)/4 is even, which separates odd and even positions by row
-    parity.
-    """
-    b = (s - 2) // 4
-    out = [None] * (r * s)
-    for j in range(s // 2):
-        for i in range(r):
-            jj = j + (1 if i % 2 == 1 else 0)
-            first = (i * a) % r
-            second = (jj * b) % s
-            pos = 2 * r * j + 2 * i
-            out[pos] = (first, second)
-            out[pos + 1] = ((first + pair_off[0]) % r, (second + pair_off[1]) % s)
-    return out
-
-
-def _order_22_low(r, s):
-    """(2,2) class with r = 6 (mod 8): column-major sweep, j bumps on odd i."""
-    a = (r - 2) // 4
-    t = (s + 2) // 4
-    out = [None] * (r * s)
-    for j in range(r):
-        for i in range(s // 2):
-            jj = j + (1 if i % 2 == 1 else 0)
-            first = (jj * a) % r
-            second = (i * t) % s
-            pos = s * j + 2 * i
-            out[pos] = (first, second)
-            out[pos + 1] = ((first + r // 2) % r, (second + s // 2) % s)
-    return out
-
-
-def _order_22_high(r, s):
-    """(2,2) class with r = s = 2 (mod 8): fixed first-coordinate bump."""
-    a = (r + 2) // 4
-    c = (r - 2) // 4
-    t = (s + 2) // 4
-    out = [None] * (r * s)
-    for j in range(r):
-        for i in range(s // 2):
-            first = (j * a + (c if i % 2 == 1 else 0)) % r
-            second = (i * t) % s
-            pos = s * j + 2 * i
-            out[pos] = (first, second)
-            out[pos + 1] = ((first + r // 2) % r, (second + s // 2) % s)
-    return out
-
-
-def _order_zigzag6(r, aa, bb):
-    """s = 6 repair: sweep rows 0,1,2 r times (steps +1,+1,-2 on the row,
-    aa,aa,bb on the column), pairing each vertex with its (+(r+1)/2, +3)
-    translate.  Covers the torus whenever gcd(2*aa + bb, r) = 1."""
-    s = 6
-    pts = [(0, 0)]
-    x = y = 0
-    for m in range(3 * r - 1):
-        if m % 3 == 2:
-            x, y = (x + bb) % r, (y - 2) % s
-        else:
-            x, y = (x + aa) % r, (y + 1) % s
-        pts.append((x, y))
-    off = ((r + 1) // 2, 3)
-    out = []
-    for i, j in pts:
-        out.append((i, j))
-        out.append(((i + off[0]) % r, (j + off[1]) % s))
-    return out
+def _sweep(r, s, outer, inner, u, v, w, off):
+    """Pairs along an affine lattice walk: for q < ``outer`` and p <
+    ``inner``, the anchor q*u + p*v (plus w when p is odd) and its partner
+    at anchor + ``off``."""
+    walk = [(p * v[0] + p % 2 * w[0], p * v[1] + p % 2 * w[1]) for p in range(inner)]
+    dx, dy = off
+    labels = []
+    for q in range(outer):
+        qx, qy = q * u[0], q * u[1]
+        for x, y in walk:
+            x += qx
+            y += qy
+            labels += [(x % r, y % s), ((x + dx) % r, (y + dy) % s)]
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -384,35 +293,48 @@ _FROZEN_CHAINS: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] =
 # ---------------------------------------------------------------------------
 
 def _normalized_ordering(case: TorusCase) -> tuple[list, list | None]:
-    """Ordering (and per-pair deltas, usually all zero) in normalized space."""
+    """Ordering and per-pair deltas (None stands for all zero) in normalized
+    space: each class as the parameters of ``_blocks`` or ``_sweep``."""
     r, s, label = case.r, case.s, case.label
     if label == LODD:
         raise TorusError("no construction for odd rs; only a lower bound")
-    labels = None
+    half = (r // 2, s // 2)
     if label == L00:
-        labels = _order_00(r, s)
-    elif label == L10:
-        labels = _order_10(r, s)
-    elif label == L20:
-        labels = _order_20(r, s)
-    elif label == L30:
-        # at T(3,12) a certified chain whose seams run one short
-        if r >= 7 or s == 4 or (r, s) in _CERTIFIED_SPAN_OVERRIDES:
-            return _order_30(r, s)
-    elif label == L32:
+        pairs = [((0, 0), half, 0), ((3 * r // 4, 3 * s // 4), half, 0)]
+        return _blocks(r, s, [(r, (r + 2) // 2, pairs)], (1, 1))
+    if label == L10:
+        # at r = 5 the published (1,1) copy shift breaks the block seams
+        off = ((r - 1) // 2, s // 2)
+        pairs = [((0, 0), off, 0), (((3 * r + 1) // 4, 3 * s // 4), off, 0)]
+        return _blocks(r, s, [(r, (r + 1) // 2, pairs)],
+                       (4, s // 2 + 1) if r == 5 else (1, 1))
+    if label == L20:
+        rows = [(r // 2, (r - 2) // 2, [((0, 0), half, 0), (((r - 2) // 4, s // 4), half, 0)]),
+                (r // 2, (r + 2) // 2, [((0, s // 2), half, 0),
+                                        (((3 * r + 2) // 4, 3 * s // 4), half, 0)])]
+        return _blocks(r, s, rows, (1, 1))
+    # pair gaps alternate 1, 0, so every partner-side step is at least as long
+    # as its anchor step, which the published ordering violates; at T(3,12)
+    # a certified chain whose seams run one short
+    if label == L30 and (r >= 7 or s == 4 or (r, s) in _CERTIFIED_SPAN_OVERRIDES):
+        h = (r - 1) // 2
+        pairs = [((0, 0), (h, s // 2), 1), (((r - 3) // 4, s // 4), (h + 1, s // 2), 0)]
+        return _blocks(r, s, [(r, h, pairs)], (1, 1))
+    if label in (L32, L12):
+        a = (r + 1) // 4 if label == L32 else (r - 1) // 4
+        off = ((r + 1) // 2, s // 2)
         if s % 8 == 2:
-            labels = _order_parity_rows(r, s, (r + 1) // 4, ((r + 1) // 2, s // 2))
-        elif s == 6:
-            labels = _order_zigzag6(r, (r + 1) // 4, (r - 3) // 4)
-    elif label == L12:
-        if s % 8 == 2:
-            labels = _order_parity_rows(r, s, (r - 1) // 4, ((r + 1) // 2, s // 2))
-        elif s == 6 and gcd((3 * r - 7) // 4, r) == 1:
-            labels = _order_zigzag6(r, (r - 1) // 4, (r - 5) // 4)
-    elif label in (L22H, L22M):
-        labels = _order_22_low(r, s) if r % 8 == 6 else _order_22_high(r, s)
-    if labels is not None:
-        return labels, None
+            # parity rows: (s-2)/4 is even, so the anchors of even and odd p
+            # lie on rows of opposite parity
+            b = (s - 2) // 4
+            return _sweep(r, s, s // 2, r, (0, b), (a, 0), (0, b), off), None
+        # the zigzag covers the torus when gcd(3a - 1, r) = 1, always so for (3,2)
+        if s == 6 and gcd(3 * a - 1, r) == 1:
+            return _sweep(r, s, r, 3, (3 * a - 1, 0), (a, 1), (0, 0), off), None
+    if label in (L22H, L22M):
+        c = (r - 2) // 4
+        u = (c if r % 8 == 6 else (r + 2) // 4, 0)
+        return _sweep(r, s, r, s // 2, u, (0, (s + 2) // 4), (c, 0), half), None
     if (r, s) in _FROZEN_CHAINS:
         order, deltas = _FROZEN_CHAINS[(r, s)]
         return [divmod(v, s) for v in order], list(deltas)
@@ -433,7 +355,7 @@ def torus_construction(r: int, s: int) -> Construction:
     graph = make_torus(r, s)
     dist = distances(graph)
     order = [i * s + j for i, j in labels]
-    coloring = Coloring(colors=chain_colors(order, deltas, dist), k=case.diameter - 1)
+    coloring = Coloring(colors=chain_colors(order, deltas, dist), k=dist.diameter - 1)
     return checked_construction(graph, dist, order, coloring, formula)
 
 
@@ -506,7 +428,7 @@ def validate_torus_ordering(r: int, s: int) -> PatternReport:
     if not pattern_mismatches(order, dist.dists, _published_checks(case.label, case.r, case.s)):
         pattern = f"torus class {case.label}: published clause set (a)-(d)"
         return PatternReport(ok=True, pattern=pattern, mismatches=())
-    pairs = (lambda j: case.diameter if j % 2 == 0 else None,
+    pairs = (lambda j: dist.diameter if j % 2 == 0 else None,
              lambda j: None, lambda j: None)
     mismatches = pattern_mismatches(order, dist.dists, pairs)
     pattern = (f"torus class {case.label}: repaired pair chain for ({case.r},{case.s}) "
@@ -516,10 +438,8 @@ def validate_torus_ordering(r: int, s: int) -> PatternReport:
 
 
 def triameter_max(r: int, s: int) -> int:
-    """Max of d(u,v) + d(v,w) + d(w,u) over all vertex triples of T(r,s).
-
-    The triameter of C_m is m, and it adds over Cartesian factors: r + s.
-    """
+    """Max of d(u,v) + d(v,w) + d(w,u) over all vertex triples of T(r,s):
+    ``radio.triameter`` of its closed-form distances."""
     if r < 3 or s < 3:
         raise GraphError("torus needs r, s >= 3")
-    return r + s
+    return triameter(CycleProductDistances(r, s))

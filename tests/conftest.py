@@ -6,10 +6,14 @@ from __future__ import annotations
 
 import random
 import time
+from math import gcd
 
 from antipodal.gp import (CASE_4T, CASE_4T1, CASE_4T2_EVEN, CASE_4T2_ODD, CASE_4T3,
                           gp_case, gp_ordering)
 from antipodal.graphs import Graph
+from antipodal.results import ConstructionError, TorusError
+from antipodal.torus import (_CERTIFIED_SPAN_OVERRIDES, _FROZEN_CHAINS, L00, L10, L12, L20,
+                             L22H, L22M, L30, L32, LODD)
 
 
 def random_connected_graph(rng: random.Random, n: int, extra_edge_prob: float = 0.3) -> Graph:
@@ -407,3 +411,194 @@ def reference_gp_colors(n):
     for position, v in enumerate(gp_ordering(n)):
         colors[v] = position // 2 * inc
     return tuple(colors)
+
+
+# ---------------------------------------------------------------------------
+# torus orderings, one builder per class
+# ---------------------------------------------------------------------------
+
+def _with_shifts(base, r, s, shift):
+    """Append copies of the base block translated by multiples of ``shift``."""
+    out = list(base)
+    c1, c2 = shift
+    for j in range(1, s // 4):
+        out.extend(((i + j * c1) % r, (jj + j * c2) % s) for i, jj in base)
+    return out
+
+
+def _order_00(r, s):
+    base = []
+    for i in range(r):
+        a = i * (r + 2) // 2
+        base += [(a % r, 0),
+                 ((a + r // 2) % r, s // 2),
+                 ((a + 3 * r // 4) % r, 3 * s // 4),
+                 ((a + r // 4) % r, s // 4)]
+    return _with_shifts(base, r, s, (1, 1))
+
+
+def _order_10(r, s):
+    """Published (1,0) block; at r = 5 the published (1,1) copy shift
+    breaks the block seams, and the copies shift by (4, s/2 + 1)."""
+    base = []
+    for i in range(r):
+        a = i * (r + 1) // 2
+        base += [(a % r, 0),
+                 ((a + (r - 1) // 2) % r, s // 2),
+                 ((a + (3 * r + 1) // 4) % r, 3 * s // 4),
+                 ((a + (r - 1) // 4) % r, s // 4)]
+    return _with_shifts(base, r, s, (4, s // 2 + 1) if r == 5 else (1, 1))
+
+
+def _order_20(r, s):
+    base = []
+    for i in range(r // 2):
+        a = i * (r - 2) // 2
+        base += [(a % r, 0),
+                 ((a + r // 2) % r, s // 2),
+                 ((a + (r - 2) // 4) % r, s // 4),
+                 ((a + (3 * r - 2) // 4) % r, 3 * s // 4)]
+    for i in range(r // 2):
+        a = i * (r + 2) // 2
+        base += [(a % r, s // 2),
+                 ((a + r // 2) % r, 0),
+                 ((a + (3 * r + 2) // 4) % r, 3 * s // 4),
+                 ((a + (r + 2) // 4) % r, s // 4)]
+    return _with_shifts(base, r, s, (1, 1))
+
+
+def _order_30(r, s):
+    """r = 3 (mod 4), s = 0 (mod 4): two-pair period with a unit pair gap.
+
+    Row-0 pairs use the offset ((r-1)/2, s/2) and carry colors (g, g+1);
+    row-s/4 pairs use ((r+1)/2, s/2) with equal colors.  The alternation
+    keeps every partner-side step at least as long as its anchor step,
+    which the published ordering violates.
+    """
+    u = (r - 3) // 4
+    h = (r - 1) // 2
+    labels: list[tuple[int, int]] = []
+    deltas: list[int] = []
+    for j in range(s // 4):
+        for i in range(r):
+            a = (i * h + j) % r
+            labels.append((a, j))
+            labels.append(((a + h) % r, (s // 2 + j) % s))
+            deltas.append(1)
+            labels.append(((a + u) % r, (s // 4 + j) % s))
+            labels.append(((a + u + h + 1) % r, (3 * s // 4 + j) % s))
+            deltas.append(0)
+    return labels, deltas
+
+
+def _order_parity_rows(r, s, a, pair_off):
+    """Row-major two-line scheme used by the odd-r classes when s = 2 mod 8.
+
+    Odd positions sweep the outer index i with first-coordinate step ``a``;
+    odd i bumps the second coordinate one extra (s-2)/4 step.  Works exactly
+    when (s-2)/4 is even, which separates odd and even positions by row
+    parity.
+    """
+    b = (s - 2) // 4
+    out = [None] * (r * s)
+    for j in range(s // 2):
+        for i in range(r):
+            jj = j + (1 if i % 2 == 1 else 0)
+            first = (i * a) % r
+            second = (jj * b) % s
+            pos = 2 * r * j + 2 * i
+            out[pos] = (first, second)
+            out[pos + 1] = ((first + pair_off[0]) % r, (second + pair_off[1]) % s)
+    return out
+
+
+def _order_22_low(r, s):
+    """(2,2) class with r = 6 (mod 8): column-major sweep, j bumps on odd i."""
+    a = (r - 2) // 4
+    t = (s + 2) // 4
+    out = [None] * (r * s)
+    for j in range(r):
+        for i in range(s // 2):
+            jj = j + (1 if i % 2 == 1 else 0)
+            first = (jj * a) % r
+            second = (i * t) % s
+            pos = s * j + 2 * i
+            out[pos] = (first, second)
+            out[pos + 1] = ((first + r // 2) % r, (second + s // 2) % s)
+    return out
+
+
+def _order_22_high(r, s):
+    """(2,2) class with r = s = 2 (mod 8): fixed first-coordinate bump."""
+    a = (r + 2) // 4
+    c = (r - 2) // 4
+    t = (s + 2) // 4
+    out = [None] * (r * s)
+    for j in range(r):
+        for i in range(s // 2):
+            first = (j * a + (c if i % 2 == 1 else 0)) % r
+            second = (i * t) % s
+            pos = s * j + 2 * i
+            out[pos] = (first, second)
+            out[pos + 1] = ((first + r // 2) % r, (second + s // 2) % s)
+    return out
+
+
+def _order_zigzag6(r, aa, bb):
+    """s = 6 repair: sweep rows 0,1,2 r times (steps +1,+1,-2 on the row,
+    aa,aa,bb on the column), pairing each vertex with its (+(r+1)/2, +3)
+    translate.  Covers the torus whenever gcd(2*aa + bb, r) = 1."""
+    s = 6
+    pts = [(0, 0)]
+    x = y = 0
+    for m in range(3 * r - 1):
+        if m % 3 == 2:
+            x, y = (x + bb) % r, (y - 2) % s
+        else:
+            x, y = (x + aa) % r, (y + 1) % s
+        pts.append((x, y))
+    off = ((r + 1) // 2, 3)
+    out = []
+    for i, j in pts:
+        out.append((i, j))
+        out.append(((i + off[0]) % r, (j + off[1]) % s))
+    return out
+
+
+def reference_normalized_ordering(case):
+    """The torus ordering (and per-pair deltas, usually all zero) in
+    normalized space, from one builder per class: the nine loops that
+    ``torus._blocks`` and ``torus._sweep`` replace, kept as the reference
+    their parameters must reproduce."""
+    r, s, label = case.r, case.s, case.label
+    if label == LODD:
+        raise TorusError("no construction for odd rs; only a lower bound")
+    labels = None
+    if label == L00:
+        labels = _order_00(r, s)
+    elif label == L10:
+        labels = _order_10(r, s)
+    elif label == L20:
+        labels = _order_20(r, s)
+    elif label == L30:
+        # at T(3,12) a certified chain whose seams run one short
+        if r >= 7 or s == 4 or (r, s) in _CERTIFIED_SPAN_OVERRIDES:
+            return _order_30(r, s)
+    elif label == L32:
+        if s % 8 == 2:
+            labels = _order_parity_rows(r, s, (r + 1) // 4, ((r + 1) // 2, s // 2))
+        elif s == 6:
+            labels = _order_zigzag6(r, (r + 1) // 4, (r - 3) // 4)
+    elif label == L12:
+        if s % 8 == 2:
+            labels = _order_parity_rows(r, s, (r - 1) // 4, ((r + 1) // 2, s // 2))
+        elif s == 6 and gcd((3 * r - 7) // 4, r) == 1:
+            labels = _order_zigzag6(r, (r - 1) // 4, (r - 5) // 4)
+    elif label in (L22H, L22M):
+        labels = _order_22_low(r, s) if r % 8 == 6 else _order_22_high(r, s)
+    if labels is not None:
+        return labels, None
+    if (r, s) in _FROZEN_CHAINS:
+        order, deltas = _FROZEN_CHAINS[(r, s)]
+        return [divmod(v, s) for v in order], list(deltas)
+    raise ConstructionError(f"no construction for ({r},{s})")

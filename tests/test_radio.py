@@ -45,11 +45,9 @@ def test_verify_gp8_construction():
 def test_verify_k_mismatch_and_size_mismatch(c4):
     g, d = c4
     with pytest.raises(RadioError):
-        verify_radio_k(g, d, Coloring((0, 1, 0, 1), k=1), k=2)
-    with pytest.raises(RadioError):
         verify_radio_k(g, d, Coloring((0, 1, 0), k=1))
     with pytest.raises(RadioError):
-        verify_radio_k(g, d, Coloring((0, 1, 0, 1), k=3), k=3)  # k > diameter
+        verify_radio_k(g, d, Coloring((0, 1, 0, 1), k=3))  # k > diameter
 
 
 def test_verify_report_matches_reference(c4):

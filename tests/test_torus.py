@@ -12,12 +12,12 @@ from antipodal.radio import (Coloring, ordering_from_sequence,
                              span_identity_residual, verify_radio_k)
 from antipodal.results import EXACT, LOWER_BOUND, ConstructionError, pattern_mismatches
 from antipodal.torus import (L00, L10, L12, L20, L22H, L22M, L30, L32, LODD,
-                             TorusError, _published_checks, torus_ac_formula,
-                             torus_antipodal_coloring, torus_case,
+                             TorusError, _normalized_ordering, _published_checks,
+                             torus_ac_formula, torus_antipodal_coloring, torus_case,
                              torus_construction, torus_ordering, triameter_max,
                              validate_torus_ordering)
 
-from conftest import reference_triameter
+from conftest import reference_normalized_ordering, reference_triameter
 
 # one representative per construction class, plus every repaired size
 REPRESENTATIVES = [(4, 4), (8, 4), (5, 4), (5, 8), (6, 4), (3, 4), (7, 8),
@@ -188,6 +188,31 @@ def test_size_rule_census():
                 missed.add((case.r, case.s))
     assert missed == {(3, 6), (3, 8), (3, 12), (3, 14), (5, 6)}
     assert (raised, built) == (83, 484)
+
+
+def _ordering_outcome(build, case):
+    """Labels and per-pair deltas (None read as all zero, as
+    ``chain_colors`` reads it) or the error's type and text."""
+    try:
+        labels, deltas = build(case)
+    except (ConstructionError, TorusError) as error:
+        return type(error).__name__, str(error)
+    return labels, list(deltas) if deltas else [0] * (len(labels) // 2)
+
+
+def test_generators_match_the_per_class_builders():
+    # _blocks and _sweep reproduce the nine per-class loops they replaced:
+    # the same labels, deltas and error text at every normalized size
+    seen = set()
+    for r in range(3, 61):
+        for s in range(3, 61):
+            case = torus_case(r, s)
+            if (case.r, case.s) in seen:
+                continue
+            seen.add((case.r, case.s))
+            assert (_ordering_outcome(_normalized_ordering, case)
+                    == _ordering_outcome(reference_normalized_ordering, case)), (r, s)
+    assert len(seen) == 2159
 
 
 def test_r5_copy_shift_builds_large_sizes_fast():
