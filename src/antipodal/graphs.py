@@ -237,6 +237,25 @@ def _product_rows(dims) -> np.ndarray:
     return np.sort(np.stack(columns, axis=1), axis=1)
 
 
+def product_reflections(dims) -> list[tuple[int, ...]]:
+    """The automorphisms of the product of cycles of lengths ``dims`` that
+    fix vertex 0, other than the identity, as tuples ``sigma`` with
+    ``sigma[v]`` the image of v: every combination of per-axis reflections
+    i -> -i mod m, each also composed with the axis swap of a square
+    two-axis product.  The reflection of a C_2 axis is the identity."""
+    grid = np.arange(prod(dims)).reshape(dims)
+    square = len(dims) == 2 and dims[0] == dims[1]
+    images = set()
+    for flips in product((False, True), repeat=len(dims)):
+        image = grid
+        for axis in np.flatnonzero(flips):
+            image = np.roll(np.flip(image, axis), 1, axis)
+        for sigma in (image, image.T) if square else (image,):
+            images.add(tuple(sigma.ravel().tolist()))
+    images.discard(tuple(range(grid.size)))
+    return sorted(images)
+
+
 def _cycle_product_graph(family, params, labels) -> Graph:
     """The built-in family's product of cycles (``family_cycles``) in the
     row-major order of its vertex indices, each vertex's sorted neighbour

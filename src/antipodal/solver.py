@@ -10,11 +10,29 @@ feasible color to the next, and hands its child the lanes ORed with the
 bands its color forbids, all in a few big-integer operations on the lanes
 still ahead.  The table of bands takes about n^2/2 lanes, so a search whose
 table would exceed ``TABLE_BITS_CAP`` is refused.  Exhaustive by design.
-Measured on a 2-vCPU Xeon VM: about 20M nodes/s over the benchmark's
-exact-solve workload; at k = diameter - 1 with the default budgets,
-C16, GP(7), T(3,5) and T(4,4) (up to 16 vertices) are settled in
-under 0.2 s each, and C20, GP(8), T(3,6) and T(4,5) (16 to 20 vertices)
-stop at the 10^8-node budget in 2-7 s, at 15-50M nodes/s.
+
+On the built-in families' graphs, under the same gate as the seed, the
+search also skips mirror images by lex-leader symmetry breaking (Crawford,
+Ginsberg, Luks and Roy, KR 1996).  The automorphisms of the cycle product
+that fix the first vertex v_0 are its per-axis reflections i -> -i mod m,
+with the axis swap of a square torus (``graphs.product_reflections``): one
+for a cycle or GP(n,1), three for T(r,s), seven for T(r,r).  For each such
+sigma, with j the first search position that sigma moves, the search
+requires c(v_j) <= c(sigma(v_j)): when v_j takes color c, the colors below c
+are ORed into the lane of sigma(v_j), which sits at a later position, and
+are counted like any other forbidden color.  An optimum survives: c o sigma
+is a valid coloring of the same span and the same c(v_0) = 0, the
+lexicographically least coloring of each orbit satisfies c <=_lex c o sigma,
+and as sigma fixes the positions before j, that inequality reduces to
+c(v_j) <= c(sigma(v_j)).  Positions that carry no rule do no extra work.
+
+Measured on a 2-vCPU Xeon VM at k = diameter - 1 with the default budgets:
+C16, GP(7), T(3,5) and T(4,4) (up to 16 vertices) are settled in under
+0.1 s each, T(4,4) in 1.3M nodes (3.9M without the rule); GP(8) = 21 and
+T(3,6) = 16 (16 and 18 vertices) in 5-6 s, after 90M and 84M nodes; C20 and
+T(4,5) (20 vertices) stop at the 10^8-node budget in 2.5-5 s.  Those four
+long searches run at 14-40M nodes/s, and the benchmark's whole exact-solve
+workload at 15-20M nodes/s.
 """
 
 from __future__ import annotations
@@ -24,7 +42,7 @@ import time
 from dataclasses import dataclass
 
 from .families import construct
-from .graphs import Graph, Distances, family_dims
+from .graphs import Graph, Distances, family_dims, product_reflections
 from .radio import Coloring, RadioError, span
 from .results import ConstructionError, TorusError
 
@@ -67,6 +85,22 @@ def _construction_seed(graph: Graph, dist: Distances, k: int) -> Coloring | None
         return None
 
 
+class _LexBand(int):
+    """The bands ``spread[j]`` of a position j that carries lex-leader rules.
+    Shifted to color c, it also forbids the colors below c in each lane
+    where ``rule`` has a bit at the foot: the lanes of the sigma(v_j).  Only
+    these few positions pay for the method call."""
+
+    def __new__(cls, bands: int, rule: int, k: int):
+        self = super().__new__(cls, bands)
+        self.rule, self.k = rule, k
+        return self
+
+    def __lshift__(self, c: int) -> int:
+        rule = self.rule
+        return int.__lshift__(self, c) | (rule << (self.k + c)) - rule
+
+
 def exact_rc_k(graph: Graph, dist: Distances, k: int,
                node_budget: int = 10 ** 8, time_budget: float = 60.0,
                pin_first: bool | None = None) -> ExactResult:
@@ -76,7 +110,8 @@ def exact_rc_k(graph: Graph, dist: Distances, k: int,
     vertex transitivity, so the default enables it just for the built-in
     families, and only when the adjacency is the declared family's edge set
     (a relabeled graph gets neither the pin nor the construction seed).  The
-    search order is descending degree then index; a color c is pruned as
+    same gate adds the lex-leader rule of the module docstring.  The search
+    order is descending degree then index; a color c is pruned as
     soon as c reaches the incumbent span.  ``nodes`` counts the colors tried,
     forbidden ones included.  Both budgets must be finite and >= 0, and the
     packed table of bands must fit ``TABLE_BITS_CAP``; otherwise ``RadioError``.
@@ -87,7 +122,8 @@ def exact_rc_k(graph: Graph, dist: Distances, k: int,
     for name, budget in (("node_budget", node_budget), ("time_budget", time_budget)):
         if not 0 <= budget < math.inf:  # false for nan as well
             raise RadioError(f"{name} must be finite and >= 0")
-    is_family = family_dims(graph) is not None
+    dims = family_dims(graph)
+    is_family = dims is not None
     if pin_first is None:
         pin_first = is_family
     order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
@@ -116,6 +152,17 @@ def exact_rc_k(graph: Graph, dist: Distances, k: int,
             required = 1 + k - dist.d(v, order[p])
             if required > 0:
                 spread[i] |= window[required] << ((p - i) * width)
+    if is_family:
+        # The lex-leader rule: position j, the first that sigma moves, marks
+        # the lane of sigma(v_j).  The graph is regular, so order[0] is
+        # vertex 0, which every sigma fixes.
+        position = {v: p for p, v in enumerate(order)}
+        rules: dict[int, int] = {}
+        for sigma in product_reflections(dims):
+            j = next(p for p, v in enumerate(order) if sigma[v] != v)
+            rules[j] = rules.get(j, 0) | 1 << ((position[sigma[order[j]]] - j) * width)
+        for j, rule in rules.items():
+            spread[j] = _LexBand(spread[j], rule, k)
     lane = (1 << width) - 1
 
     assigned = [0] * n

@@ -79,9 +79,12 @@ def reference_exact(graph, dist, k, node_budget=10 ** 8, time_budget=60.0,
                     pin_first=None):
     """The exact solver's depth-first search as a plain per-color loop.
 
-    Tries every color of every position against every earlier vertex.  The
-    library's bit-mask search must walk the same tree: the same status,
-    value, lower bound, witness and node count.
+    Tries every color of every position against every earlier vertex.  On a
+    built-in family graph it also rejects a color below that of position j
+    at the position of sigma(v_j), for each of ``reference_reflections`` and
+    the first position j it moves.  The library's bit-mask search must walk
+    the same tree: the same status, value, lower bound, witness and node
+    count.
     """
     from antipodal.graphs import family_dims
     from antipodal.radio import Coloring, RadioError, span
@@ -112,6 +115,11 @@ def reference_exact(graph, dist, k, node_budget=10 ** 8, time_budget=60.0,
             required = 1 + k - dist.d(u, v)
             if required > 0:
                 constraints[i].append((pos_of[u], required))
+    # floors[p]: the earlier positions whose colors position p may not go below
+    floors: list[list[int]] = [[] for _ in range(n)]
+    for sigma in (reference_reflections(graph) if is_family else ()):
+        j = next(i for i, v in enumerate(order) if sigma[v] != v)
+        floors[pos_of[sigma[order[j]]]].append(j)
 
     assigned = [0] * n
     nodes = 0
@@ -119,6 +127,8 @@ def reference_exact(graph, dist, k, node_budget=10 ** 8, time_budget=60.0,
     timed_out = False
 
     def feasible(i: int, c: int) -> bool:
+        if any(c < assigned[j] for j in floors[i]):
+            return False
         for j, required in constraints[i]:
             if abs(c - assigned[j]) < required:
                 return False
@@ -158,6 +168,32 @@ def reference_exact(graph, dist, k, node_budget=10 ** 8, time_budget=60.0,
         lower = max(0, (n - 1) * (k + 1 - dist.diameter), min(k, incumbent))
         return ExactResult(TIMED_OUT, incumbent, lower, witness, nodes, elapsed)
     return ExactResult(SOLVED, incumbent, incumbent, witness, nodes, elapsed)
+
+
+def reference_reflections(graph):
+    """The automorphisms of a built-in family graph that fix vertex 0, other
+    than the identity, read off its labels: negate any set of the label's
+    cycle coordinates mod the cycle's length, then swap the two coordinates
+    of a square torus or not.  Each is a tuple with ``sigma[v]`` the image
+    of v."""
+    from itertools import product
+
+    params = graph.params
+    if graph.family == "cycle":
+        moves = [lambda i, f=f: -i % params["n"] if f else i for f in (0, 1)]
+    elif graph.family == "gp":
+        moves = [lambda lab, f=f: (lab[0], -lab[1] % params["n"] if f else lab[1])
+                 for f in (0, 1)]
+    else:
+        r, s = params["r"], params["s"]
+        moves = [lambda lab, a=a, b=b: (-lab[0] % r if a else lab[0], -lab[1] % s if b else lab[1])
+                 for a, b in product((0, 1), repeat=2)]
+        if r == s:
+            moves += [lambda lab, m=m: m(lab)[::-1] for m in moves]
+    images = {tuple(graph.index_of[move(graph.label_of(v))] for v in range(graph.n))
+              for move in moves}
+    images.discard(tuple(range(graph.n)))
+    return sorted(images)
 
 
 def reference_triameter(r, s):

@@ -6,11 +6,12 @@ import pytest
 
 from antipodal import graphs
 from antipodal.graphs import (CycleProductDistances, Graph, GraphError, all_pairs_distances,
-                              closed_form_diameter, cyclic_distance, distances, make_cartesian_product,
-                              make_cycle, make_gp, make_torus)
+                              closed_form_diameter, cyclic_distance, distances, family_dims,
+                              make_cartesian_product, make_cycle, make_gp, make_torus,
+                              product_reflections)
 
 from conftest import (random_connected_graph, reference_cartesian_product, reference_cycle,
-                      reference_gp, reference_torus)
+                      reference_gp, reference_reflections, reference_torus)
 
 
 def test_cycle_smallest_is_triangle():
@@ -171,6 +172,22 @@ def test_builders_match_edge_set_references():
         assert np.array_equal(checked._pair_keys, graph._pair_keys), (graph.family, graph.params)
         assert graphs.family_dims(checked) == graphs.family_dims(graph) is not None, \
             (graph.family, graph.params)
+
+
+def test_product_reflections_are_the_label_reflections():
+    # the index-grid automorphisms fixing vertex 0 are the label reflections
+    # (with the swap on square tori), and each one maps the edge set onto itself
+    cases = ([make_cycle(n) for n in range(3, 13)] + [make_gp(n) for n in range(3, 13)]
+             + [make_torus(r, s) for r in range(3, 9) for s in range(3, 9)])
+    for graph in cases:
+        sigmas = product_reflections(family_dims(graph))
+        assert sigmas == reference_reflections(graph)
+        square = graph.family == "torus" and graph.params["r"] == graph.params["s"]
+        assert len(sigmas) == (7 if square else 3 if graph.family == "torus" else 1)
+        edges = set(graph.edges())
+        for sigma in sigmas:
+            assert sigma[0] == 0
+            assert {tuple(sorted((sigma[u], sigma[v]))) for u, v in edges} == edges
 
 
 def test_distances_fall_back_to_bfs_when_family_does_not_match():
