@@ -81,7 +81,7 @@ def cmd_verify(args) -> int:
     report = verify_radio_k(graph, dist, coloring)
     ordering = None
     order = meta.get("ordering")
-    if isinstance(order, list) and all(type(v) is int for v in order):
+    if isinstance(order, list) and set(map(type, order)) <= {int}:
         try:
             ordering = ordering_from_sequence(coloring, dist, order)
         except RadioError:

@@ -42,7 +42,8 @@ def formula(family: str, **params) -> FormulaResult:
 
 
 def validate(family: str, **params) -> PatternReport:
-    """The emitted ordering's distance pattern, scanned on BFS distances."""
+    """The emitted ordering's distance pattern, scanned on the
+    construction's closed-form distances."""
     if family == "gp":
         return validate_gp_ordering(**params)
     if family == "torus":

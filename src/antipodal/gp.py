@@ -5,8 +5,8 @@ consecutive distances alternate between the diameter and a short constant,
 the antipodal coloring (k = diameter - 1) that the shared pair-chain rule
 ``results.chain_colors`` gives it, and the closed-form span.  Every
 construction passes ``results.checked_construction`` before it is
-returned; ``validate_gp_ordering`` scans the emitted ordering on BFS
-distances.
+returned; ``validate_gp_ordering`` scans the emitted ordering on the
+construction's closed-form distances.
 
 For n = 4t+2 with t even the pair chain spans (n-1)(n+2)/4, below the
 published (n^2+5n-6)/4.  That equals the triameter bound
@@ -21,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import GraphError, all_pairs_distances, distances, make_gp
+import numpy as np
+
+from .graphs import GraphError, distances, make_gp
 from .radio import Coloring
 from .results import (EXACT, UPPER_BOUND, Construction, FormulaResult, PatternReport,
                       chain_colors, checked_construction, pattern_mismatches)
@@ -102,32 +104,25 @@ def gp_ordering(n: int) -> list[int]:
     """Vertex sequence v_1..v_2n as indices into make_gp(n).
 
     Odd positions sweep one cycle and even positions the other; each
-    (v_{2j+1}, v_{2j+2}) is an antipodal pair.  n = 4t uses block-of-four
-    subscript formulas, the other classes a single modular step whose
-    coprimality with n makes the sweep cover both cycles.
+    (v_{2j+1}, v_{2j+2}) is an antipodal pair, ("x", i) with ("y", i + n//2).
+    n = 4t uses block-of-four subscript formulas, with the pairs of every
+    odd block starting on the inner cycle; the other classes use a single
+    modular step whose coprimality with n makes the sweep cover both cycles.
     """
     case = gp_case(n)
-    x = lambda i: i % n           # outer-cycle index
-    y = lambda i: n + (i % n)     # inner-cycle index
-    seq: list[int] = [0] * (2 * n)
+    j = np.arange(n)
     if case.label == CASE_4T:
-        q = n // 4
-        for j in range(n):
-            block, m = divmod(j, 4)
-            xs = m * q + block + 1
-            ys = n // 2 + m * q + block + 1
-            if block % 2 == 0:
-                seq[2 * j], seq[2 * j + 1] = x(xs), y(ys)
-            else:
-                seq[2 * j], seq[2 * j + 1] = y(ys), x(xs)
-        return seq
-    step = _STEP[case.label](n)
-    # antipodal partner offset on the inner cycle
-    y_off = n // 2 if n % 2 == 0 else (n - 1) // 2
-    for j in range(n):
-        seq[2 * j] = x(j * step + 1)
-        seq[2 * j + 1] = y(y_off + j * step + 1)
-    return seq
+        block, m = np.divmod(j, 4)
+        xs = m * (n // 4) + block + 1
+        inner_first = block % 2 == 1
+    else:
+        xs = j * _STEP[case.label](n) + 1
+        inner_first = False
+    x, y = xs % n, n + (xs + n // 2) % n  # outer-cycle and inner-cycle indices
+    seq = np.empty(2 * n, dtype=np.int64)
+    seq[0::2] = np.where(inner_first, y, x)
+    seq[1::2] = np.where(inner_first, x, y)
+    return seq.tolist()
 
 
 def gp_antipodal_coloring(n: int) -> Coloring:
@@ -146,13 +141,14 @@ def gp_construction(n: int) -> Construction:
     """
     graph = make_gp(n)
     dist = distances(graph)
-    seq = gp_ordering(n)
+    seq = np.array(gp_ordering(n), dtype=np.int64)
     coloring = Coloring(colors=chain_colors(seq, None, dist), k=dist.diameter - 1)
     return checked_construction(graph, dist, seq, coloring, gp_ac_formula(n))
 
 
 def validate_gp_ordering(n: int) -> PatternReport:
-    """Scan the emitted ordering's distance pattern on BFS distances.
+    """Scan the emitted ordering's distance pattern on the construction's
+    closed-form distances.
 
     Consecutive distances alternate between the diameter (each
     (v_{2j-1}, v_{2j}) is antipodal) and the case's short constant; two-step
@@ -161,7 +157,7 @@ def validate_gp_ordering(n: int) -> PatternReport:
     """
     case = gp_case(n)
     construction = gp_construction(n)
-    dist = all_pairs_distances(construction.graph)
+    dist = construction.dist
     diam = dist.diameter
     short = _SHORT_DISTANCE[case.label](n)
     if case.label == CASE_4T:

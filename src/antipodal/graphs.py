@@ -1,22 +1,24 @@
 """Graph families and exact distance computation.
 
 Builds cycles, generalized Petersen graphs GP(n,1) = K_2 x C_n and toroidal
-grids C_r x C_s as products of cycles, each vertex's neighbour row written
-directly, and Cartesian products of any two graphs, as immutable adjacency
-structures.
+grids C_r x C_s as products of cycles, and Cartesian products of any two
+graphs, as immutable adjacency structures.
 
 The public ``Graph`` constructor checks every input with array kernels over
 the flattened directed pairs (u, v): no self-loop, no neighbour out of range,
 sorted keys u * n + v with no duplicate, and the same keys as the reversed
 pairs v * n + u (symmetry); the labels must be a bijection onto the indices,
-and a breadth-first search checks connectivity.  The cycle-product builder
-behind ``make_cycle``, ``make_gp`` and ``make_torus`` skips these checks: its
-rows are simple, symmetric and connected by construction, and it records the
-product's cycle lengths, so ``family_dims`` is O(1) on its graphs.  A test
-census rebuilds every builder graph of C_3..C_60, GP(3..60) and the tori up
-to 15 x 15 through the checking constructor.  Any other graph, including a
-hand-built one that names a built-in family, has its edge set compared with
-the product's by ``family_dims``.
+and a breadth-first search checks connectivity.  The builders
+``make_cycle``, ``make_gp`` and ``make_torus`` return a ``Graph`` that
+records only the vertex count, the family, its params and the product's
+cycle lengths, so ``family_dims`` is O(1) on their graphs.  Its neighbour
+rows, adjacency, labels and pair keys are closed forms of the index, built
+on first use: ``gen`` and ``verify`` never build them.  These graphs skip
+the checks, as their rows are simple, symmetric and connected by
+construction; a test census rebuilds every builder graph of C_3..C_60,
+GP(3..60) and the tori up to 15 x 15 through the checking constructor.  Any
+other graph, including a hand-built one that names a built-in family, has
+its edge set compared with the product's by ``family_dims``.
 
 ``distances`` computes exact hop distances: closed-form lookups
 (``CycleProductDistances``, two hop tables and no V x V array) for the
@@ -28,7 +30,8 @@ pairs; ``d(u, v)`` wraps it for one pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, product
+from functools import cached_property
+from itertools import chain, count, product
 from math import prod
 from operator import index
 from typing import Iterator, Mapping
@@ -61,7 +64,7 @@ class Graph:
     out-of-range neighbour, an asymmetric edge, labels that are not a
     bijection and a disconnected graph, each with a ``GraphError``.  Graphs
     from ``make_cycle``, ``make_gp`` and ``make_torus`` are correct by
-    construction and skip these checks (see ``_cycle_product_graph``).
+    construction and skip these checks (see ``_CycleProductGraph``).
     """
 
     n: int
@@ -97,14 +100,11 @@ class Graph:
     def label_of(self, v: int) -> Label:
         if self.labels is None:
             return v
-        return self._inverse()[v]
+        return self._label_inverse[v]
 
-    def _inverse(self) -> dict[int, Label]:
-        inv = getattr(self, "_label_inverse", None)
-        if inv is None:
-            inv = {i: lab for lab, i in self.labels.items()}
-            object.__setattr__(self, "_label_inverse", inv)
-        return inv
+    @cached_property
+    def _label_inverse(self) -> dict[int, Label]:
+        return {i: lab for lab, i in self.labels.items()}
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -256,32 +256,61 @@ def product_reflections(dims) -> list[tuple[int, ...]]:
     return sorted(images)
 
 
-def _cycle_product_graph(family, params, labels) -> Graph:
-    """The built-in family's product of cycles (``family_cycles``) in the
-    row-major order of its vertex indices, each vertex's sorted neighbour
-    row written directly.
+class _CycleProductGraph(Graph):
+    """A built-in family's graph: the product of cycles of lengths ``dims``
+    (``family_cycles``) in the row-major order of its vertex indices.
 
-    The rows are simple, symmetric and connected, and ``labels`` is a
-    bijection, by construction, so ``Graph``'s checks are skipped; the
-    builder tests rebuild each graph through them.  The pair keys of sorted
-    rows in vertex order are already sorted, and the recorded cycle lengths
-    answer ``family_dims``.
+    It records the vertex count, the family, its params and ``dims``, which
+    answer ``family_dims``.  The rows, adjacency, labels and pair keys are
+    closed forms of the index, each built on first use.  The rows are
+    simple, symmetric and connected, and the labels a bijection, by
+    construction, so ``Graph``'s checks are skipped; the builder tests
+    rebuild each graph through them.
     """
-    dims = family_cycles(family, params)
-    rows = _product_rows(dims)
-    n = len(rows)
-    graph = object.__new__(Graph)
-    vars(graph).update(n=n, adjacency=tuple(zip(*rows.T.tolist())), labels=labels,
-                       family=family, params=params, _cycle_dims=dims,
-                       _pair_keys=(np.arange(n)[:, None] * n + rows).ravel())
-    return graph
+
+    def __init__(self, family: str, params: dict, dims: tuple[int, ...]) -> None:
+        vars(self).update(n=prod(dims), family=family, params=params, _cycle_dims=dims)
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        return _product_rows(self._cycle_dims)
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self._rows.T.tolist()))
+
+    @cached_property
+    def labels(self) -> dict[Label, int]:
+        return _family_labels(self.family, self.params)
+
+    @cached_property
+    def _pair_keys(self) -> np.ndarray:
+        # the keys of sorted rows in vertex order are already sorted
+        return (np.arange(self.n)[:, None] * self.n + self._rows).ravel()
+
+
+def _cycle_product_graph(family: str, params: dict) -> Graph:
+    """The built-in family's graph (``_CycleProductGraph``)."""
+    return _CycleProductGraph(family, params, family_cycles(family, params))
+
+
+def _family_labels(family: str, params: Mapping) -> dict[Label, int]:
+    """The labels of a built-in family's vertices: i on C_n, ("x", i) at
+    index i and ("y", i) at n + i on GP(n,1), (i, j) at i * s + j on T(r,s)."""
+    if family == "gp":
+        labels = product(("x", "y"), range(params["n"]))
+    elif family == "torus":
+        labels = product(range(params["r"]), range(params["s"]))
+    else:
+        labels = range(params["n"])
+    return dict(zip(labels, count()))
 
 
 def make_cycle(n: int) -> Graph:
     """Cycle C_n with vertex i adjacent to (i +/- 1) mod n."""
     if n < 3:
         raise GraphError("cycle needs n >= 3")
-    return _cycle_product_graph("cycle", {"n": n}, dict(zip(range(n), range(n))))
+    return _cycle_product_graph("cycle", {"n": n})
 
 
 def make_gp(n: int) -> Graph:
@@ -293,16 +322,14 @@ def make_gp(n: int) -> Graph:
     """
     if n < 3:
         raise GraphError("GP(n,1) needs n >= 3")
-    labels = dict(zip(product(("x", "y"), range(n)), range(2 * n)))
-    return _cycle_product_graph("gp", {"n": n}, labels)
+    return _cycle_product_graph("gp", {"n": n})
 
 
 def make_torus(r: int, s: int) -> Graph:
     """Toroidal grid C_r x C_s with vertices labeled (i, j), 4-regular."""
     if r < 3 or s < 3:
         raise GraphError("torus needs r, s >= 3")
-    labels = dict(zip(product(range(r), range(s)), range(r * s)))
-    return _cycle_product_graph("torus", {"r": r, "s": s}, labels)
+    return _cycle_product_graph("torus", {"r": r, "s": s})
 
 
 def make_cartesian_product(g: Graph, h: Graph) -> Graph:

@@ -53,7 +53,7 @@ class Coloring:
         # exact types: a file's 1.5, "3" or true is not an integer
         if type(self.k) is not int or self.k < 1:
             raise RadioError("k must be an integer >= 1")
-        if any(type(c) is not int or c < 0 for c in self.colors):
+        if not set(map(type, self.colors)) <= {int} or min(self.colors, default=0) < 0:
             raise RadioError("colors must be non-negative integers")
 
     @property
@@ -103,22 +103,31 @@ _PAIR_BLOCK = 1 << 16
 def _int_array(values, k: int = 0) -> np.ndarray:
     """``values`` as an int64 array, or as an object array of Python ints
     where a value or k is too large for their sums to stay within 63 bits."""
-    largest = max(max(values, default=0), -min(values, default=0), abs(k))
-    return np.array(values, dtype=np.int64 if largest < 1 << 61 else object)
+    try:
+        array = np.array(values, dtype=np.int64)
+    except OverflowError:  # beyond 64 bits
+        return np.array(values, dtype=object)
+    if abs(k) < 1 << 61 and (not len(array) or -(1 << 61) < array.min() <= array.max() < 1 << 61):
+        return array
+    return np.array(values, dtype=object)
 
 
-def _ordering(coloring: Coloring, dist: Distances, order) -> ColorOrdering:
-    """The ordering of ``coloring`` along ``order``, with its slacks
-    eps_j = g(v_j) - g(v_{j-1}) - (1 + k - d(v_j, v_{j-1})), all steps in
-    one ``dists`` call.  Rejects an order whose colors decrease."""
+def _is_permutation(vertices: np.ndarray, n: int) -> bool:
+    """Whether the integer array holds each of 0..n-1 exactly once."""
+    return len(vertices) == n and np.array_equal(np.sort(vertices), np.arange(n))
+
+
+def _ordering(coloring: Coloring, dist: Distances, vertices: np.ndarray) -> ColorOrdering:
+    """The ordering of ``coloring`` along the int64 array ``vertices``, with
+    its slacks eps_j = g(v_j) - g(v_{j-1}) - (1 + k - d(v_j, v_{j-1})), all
+    steps in one ``dists`` call.  Rejects an order whose colors decrease."""
     k = coloring.k
-    vertices = np.fromiter(map(index, order), np.int64, len(order))
     colors = _int_array(coloring.colors, k)[vertices]
     if (colors[1:] < colors[:-1]).any():
         raise RadioError("order is not color-non-decreasing")
     steps = dist.dists(vertices[:-1], vertices[1:]).astype(colors.dtype)
     epsilons = colors[1:] - colors[:-1] + steps - (k + 1)
-    return ColorOrdering(order=tuple(order), colors=coloring.colors, k=k,
+    return ColorOrdering(order=tuple(vertices.tolist()), colors=coloring.colors, k=k,
                          epsilons=tuple(epsilons.tolist()))
 
 
@@ -128,18 +137,26 @@ def ordering_from_sequence(coloring: Coloring, dist: Distances,
 
     Rejects sequences that are not permutations or not sorted by color.
     Constructions certify against their own emitted sequence; equal-color
-    ties may therefore sit in any order here.
+    ties may therefore sit in any order here.  A sequence with an entry
+    that is not an integer, or not within 64 bits, is judged by
+    ``sorted(order) == list(range(n))`` and raises as that does.
     """
     order = tuple(order)
-    if sorted(order) != list(range(coloring.n)):
+    n = coloring.n
+    try:
+        vertices = np.fromiter(map(index, order), np.int64, len(order))
+    except (TypeError, OverflowError):
+        if sorted(order) == list(range(n)):
+            raise  # equal to a permutation, but not of integers
+        vertices = None
+    if vertices is None or not _is_permutation(vertices, n):
         raise RadioError("order is not a permutation of the vertices")
-    return _ordering(coloring, dist, order)
+    return _ordering(coloring, dist, vertices)
 
 
 def order_by_color(coloring: Coloring, dist: Distances) -> ColorOrdering:
     """Canonical ordering: stable sort by (color, vertex index)."""
-    by_color = np.argsort(_int_array(coloring.colors), kind="stable")
-    return _ordering(coloring, dist, tuple(by_color.tolist()))
+    return _ordering(coloring, dist, np.argsort(_int_array(coloring.colors), kind="stable"))
 
 
 def radio_violations(colors, k: int,

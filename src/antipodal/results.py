@@ -14,8 +14,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .graphs import Distances, Graph, GraphError
-from .radio import (ColorOrdering, Coloring, RadioError, _ordering, radio_violations,
-                    span)
+from .radio import (ColorOrdering, Coloring, RadioError, _is_permutation, _ordering,
+                    radio_violations, span)
 
 EXACT = "Exact"
 UPPER_BOUND = "UpperBound"
@@ -90,20 +90,20 @@ def chain_colors(order, deltas, dist: Distances) -> tuple[int, ...]:
     return tuple(colors.tolist())
 
 
-def checked_construction(graph: Graph, dist: Distances, order,
+def checked_construction(graph: Graph, dist: Distances, order: np.ndarray,
                          coloring: Coloring, formula: FormulaResult) -> Construction:
     """The construction record, once it passes the construction check:
-    ``order`` is a permutation, ``coloring`` satisfies the radio condition,
-    its span is the formula value and its colors never decrease along
-    ``order``.  Raises ``ConstructionError`` at the first failure, in that
-    order.
+    ``order``, an integer array, is a permutation, ``coloring`` satisfies
+    the radio condition, its span is the formula value and its colors
+    never decrease along ``order``.  Raises ``ConstructionError`` at the
+    first failure, in that order.
 
     The radio-condition kernel is called directly: a ``verify_radio_k`` call
     stands for one verification of a finished coloring, and the benchmark
     trace counts it as such.
     """
     where = "(" + ",".join(str(value) for value in graph.params.values()) + ")"
-    if sorted(order) != list(range(graph.n)):
+    if not _is_permutation(order, graph.n):
         raise ConstructionError(f"ordering is not a permutation for {where}")
     violations = radio_violations(coloring.colors, coloring.k, dist)
     if violations:

@@ -198,9 +198,15 @@ def check_certified_span(r: int, s: int, span: int) -> SpanCheck:
         i, j = divmod(v, s)
         return (r % 2 or 2 * i <= r) and (s % 2 or 2 * j <= s)
 
-    # each list in increasing vertex order, so the first chain found is fixed
-    by_length = [[np.flatnonzero(row == length).tolist() for length in range(top + 1)]
-                 for row in table]
+    # by_length[a][L]: the vertices at distance L from a, each list in
+    # increasing vertex order, so the first chain found is fixed: a stable
+    # sort of each row by distance, cut where the distance changes
+    by_length = []
+    for row in table:
+        ranked = np.argsort(row, kind="stable")
+        cuts = np.searchsorted(row[ranked], np.arange(top + 2)).tolist()
+        ranked = ranked.tolist()
+        by_length.append([ranked[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
 
     def extend(m, spent, prev_top, a, color, b):
         # pair (a, b) is open: a is placed at ``color``, b's gap is pending;

@@ -50,17 +50,19 @@ whose literal formulas double-cover vertices or whose seam distances
 degenerate.  Every construction passes ``results.checked_construction``
 before it is returned, and fails loudly with ``ConstructionError`` rather
 than emit a bad ordering; ``validate_torus_ordering`` scans the emitted
-ordering on BFS distances.
+ordering on the construction's closed-form distances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
-from .graphs import (CycleProductDistances, GraphError, all_pairs_distances, distances,
-                     make_torus)
+import numpy as np
+
+from .graphs import CycleProductDistances, GraphError, distances, make_torus
 from .radio import Coloring, triameter
 from .results import (EXACT, LOWER_BOUND, UPPER_BOUND, Construction,
                       ConstructionError, FormulaResult, PatternReport, TorusError,
@@ -350,11 +352,12 @@ def torus_construction(r: int, s: int) -> Construction:
     case = torus_case(r, s)
     formula = torus_ac_formula(r, s)
     labels, deltas = _normalized_ordering(case)
-    if case.swapped:
-        labels = [(j, i) for i, j in labels]
+    flat = np.fromiter(chain.from_iterable(labels), np.int64, 2 * len(labels))
+    # a swapped case's normalized label (j, i) is the caller's (i, j)
+    i, j = (flat[1::2], flat[0::2]) if case.swapped else (flat[0::2], flat[1::2])
+    order = i * s + j
     graph = make_torus(r, s)
     dist = distances(graph)
-    order = [i * s + j for i, j in labels]
     coloring = Coloring(colors=chain_colors(order, deltas, dist), k=dist.diameter - 1)
     return checked_construction(graph, dist, order, coloring, formula)
 
@@ -413,7 +416,8 @@ def torus_ac_formula(r: int, s: int) -> FormulaResult:
 
 
 def validate_torus_ordering(r: int, s: int) -> PatternReport:
-    """Scan the emitted ordering's distance pattern on BFS distances.
+    """Scan the emitted ordering's distance pattern on the construction's
+    closed-form distances.
 
     Sizes built from a published per-class formula satisfy that class's
     clause set.  On repaired sizes, where the published clause set is
@@ -423,7 +427,7 @@ def validate_torus_ordering(r: int, s: int) -> PatternReport:
     """
     case = torus_case(r, s)
     construction = torus_construction(r, s)
-    dist = all_pairs_distances(construction.graph)
+    dist = construction.dist
     order = construction.ordering.order
     if not pattern_mismatches(order, dist.dists, _published_checks(case.label, case.r, case.s)):
         pattern = f"torus class {case.label}: published clause set (a)-(d)"

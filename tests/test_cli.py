@@ -92,10 +92,14 @@ def test_verify_rejects_tampered_file(capsys, tmp_path):
     # a stale ordering falls back to color order
     (["meta", "ordering", 1], "a", 0),
     (["meta", "ordering"], 5, 0),
+    (["meta", "ordering", 1], True, 0),
+    (["meta", "ordering", 1], 1.0, 0),
     # any other field of the wrong type is an error, never truncated
     (["colors"], 5, 2),
     (["colors", 0], 1.5, 2),
     (["colors", 0], "3", 2),
+    (["colors", 0], True, 2),
+    (["colors", 0], -1, 2),
     (["k"], 3.7, 2),
     (["graph_ref", "params", "n"], "abc", 2),
     (["graph_ref", "params", "n"], 5.0, 2),
@@ -378,6 +382,30 @@ def test_gen_builds_one_graph(capsys, monkeypatch, tmp_path):
     assert len(builds) == 1
     assert run_cli(capsys, "verify", out)[0] == 0
     assert len(builds) == 2
+
+
+@pytest.mark.parametrize("family_args", [("--family", "gp", "--n", "600"),
+                                         ("--family", "torus", "--r", "40", "--s", "40")])
+def test_gen_and_verify_leave_builder_graphs_unbuilt(capsys, monkeypatch, tmp_path,
+                                                     family_args):
+    # gen and verify read only the size, family, params and closed-form
+    # distances of a builder graph: its neighbour rows, adjacency, labels and
+    # pair keys are never built
+    def unbuilt(*args):
+        raise AssertionError("per-vertex data of a builder graph was built")
+
+    monkeypatch.setattr(graphs, "_product_rows", unbuilt)
+    monkeypatch.setattr(graphs, "_family_labels", unbuilt)
+    built = []
+    build = graphs._cycle_product_graph
+    monkeypatch.setattr(graphs, "_cycle_product_graph",
+                        lambda *args: built.append(build(*args)) or built[-1])
+    out = str(tmp_path / "coloring.json")
+    assert run_cli(capsys, "gen", *family_args, "--out", out)[0] == 0
+    assert run_cli(capsys, "verify", out)[0] == 0
+    assert len(built) == 2
+    for graph in built:
+        assert not vars(graph).keys() & {"_rows", "adjacency", "labels", "_pair_keys"}
 
 
 def test_table_computes_distances_once_per_constructed_row(capsys, monkeypatch):
