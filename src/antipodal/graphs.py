@@ -257,18 +257,19 @@ def product_reflections(dims) -> list[tuple[int, ...]]:
 
 
 class _CycleProductGraph(Graph):
-    """A built-in family's graph: the product of cycles of lengths ``dims``
-    (``family_cycles``) in the row-major order of its vertex indices.
+    """A built-in family's graph: the product of cycles ``family_cycles``
+    names, in the row-major order of its vertex indices.
 
-    It records the vertex count, the family, its params and ``dims``, which
-    answer ``family_dims``.  The rows, adjacency, labels and pair keys are
-    closed forms of the index, each built on first use.  The rows are
-    simple, symmetric and connected, and the labels a bijection, by
-    construction, so ``Graph``'s checks are skipped; the builder tests
+    It records the vertex count, the family, its params and the cycle
+    lengths, which answer ``family_dims``.  The rows, adjacency, labels and
+    pair keys are closed forms of the index, each built on first use.  The
+    rows are simple, symmetric and connected, and the labels a bijection,
+    by construction, so ``Graph``'s checks are skipped; the builder tests
     rebuild each graph through them.
     """
 
-    def __init__(self, family: str, params: dict, dims: tuple[int, ...]) -> None:
+    def __init__(self, family: str, params: dict) -> None:
+        dims = family_cycles(family, params)
         vars(self).update(n=prod(dims), family=family, params=params, _cycle_dims=dims)
 
     @cached_property
@@ -289,11 +290,6 @@ class _CycleProductGraph(Graph):
         return (np.arange(self.n)[:, None] * self.n + self._rows).ravel()
 
 
-def _cycle_product_graph(family: str, params: dict) -> Graph:
-    """The built-in family's graph (``_CycleProductGraph``)."""
-    return _CycleProductGraph(family, params, family_cycles(family, params))
-
-
 def _family_labels(family: str, params: Mapping) -> dict[Label, int]:
     """The labels of a built-in family's vertices: i on C_n, ("x", i) at
     index i and ("y", i) at n + i on GP(n,1), (i, j) at i * s + j on T(r,s)."""
@@ -310,7 +306,7 @@ def make_cycle(n: int) -> Graph:
     """Cycle C_n with vertex i adjacent to (i +/- 1) mod n."""
     if n < 3:
         raise GraphError("cycle needs n >= 3")
-    return _cycle_product_graph("cycle", {"n": n})
+    return _CycleProductGraph("cycle", {"n": n})
 
 
 def make_gp(n: int) -> Graph:
@@ -322,14 +318,14 @@ def make_gp(n: int) -> Graph:
     """
     if n < 3:
         raise GraphError("GP(n,1) needs n >= 3")
-    return _cycle_product_graph("gp", {"n": n})
+    return _CycleProductGraph("gp", {"n": n})
 
 
 def make_torus(r: int, s: int) -> Graph:
     """Toroidal grid C_r x C_s with vertices labeled (i, j), 4-regular."""
     if r < 3 or s < 3:
         raise GraphError("torus needs r, s >= 3")
-    return _cycle_product_graph("torus", {"r": r, "s": s})
+    return _CycleProductGraph("torus", {"r": r, "s": s})
 
 
 def make_cartesian_product(g: Graph, h: Graph) -> Graph:

@@ -374,38 +374,28 @@ def test_gen_without_a_construction_fails_fast(capsys, monkeypatch, r, s):
 
 
 def test_gen_builds_one_graph(capsys, monkeypatch, tmp_path):
-    # gen builds one graph, and verify of its file builds one more
-    builds = _count_calls(monkeypatch, graphs, "_cycle_product_graph")
-    out = str(tmp_path / "t40.json")
-    assert run_cli(capsys, "gen", "--family", "torus", "--r", "40", "--s", "40",
-                   "--out", out)[0] == 0
-    assert len(builds) == 1
-    assert run_cli(capsys, "verify", out)[0] == 0
-    assert len(builds) == 2
-
-
-@pytest.mark.parametrize("family_args", [("--family", "gp", "--n", "600"),
-                                         ("--family", "torus", "--r", "40", "--s", "40")])
-def test_gen_and_verify_leave_builder_graphs_unbuilt(capsys, monkeypatch, tmp_path,
-                                                     family_args):
-    # gen and verify read only the size, family, params and closed-form
-    # distances of a builder graph: its neighbour rows, adjacency, labels and
-    # pair keys are never built
+    # gen builds one graph, and verify of its file builds one more; both read
+    # only its size, family, params and closed-form distances, so its
+    # neighbour rows, adjacency, labels and pair keys are never built
     def unbuilt(*args):
         raise AssertionError("per-vertex data of a builder graph was built")
 
     monkeypatch.setattr(graphs, "_product_rows", unbuilt)
     monkeypatch.setattr(graphs, "_family_labels", unbuilt)
-    built = []
-    build = graphs._cycle_product_graph
-    monkeypatch.setattr(graphs, "_cycle_product_graph",
-                        lambda *args: built.append(build(*args)) or built[-1])
+    builds = []
+    build = graphs._CycleProductGraph
+    monkeypatch.setattr(graphs, "_CycleProductGraph",
+                        lambda *args: builds.append(build(*args)) or builds[-1])
     out = str(tmp_path / "coloring.json")
-    assert run_cli(capsys, "gen", *family_args, "--out", out)[0] == 0
-    assert run_cli(capsys, "verify", out)[0] == 0
-    assert len(built) == 2
-    for graph in built:
-        assert not vars(graph).keys() & {"_rows", "adjacency", "labels", "_pair_keys"}
+    for family_args in (("--family", "gp", "--n", "600"),
+                        ("--family", "torus", "--r", "40", "--s", "40")):
+        builds.clear()
+        assert run_cli(capsys, "gen", *family_args, "--out", out)[0] == 0
+        assert len(builds) == 1
+        assert run_cli(capsys, "verify", out)[0] == 0
+        assert len(builds) == 2
+        for graph in builds:
+            assert not vars(graph).keys() & {"_rows", "adjacency", "labels", "_pair_keys"}
 
 
 def test_table_computes_distances_once_per_constructed_row(capsys, monkeypatch):
