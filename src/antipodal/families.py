@@ -42,8 +42,7 @@ def formula(family: str, **params) -> FormulaResult:
 
 
 def validate(family: str, **params) -> PatternReport:
-    """The emitted ordering's distance pattern, scanned on the
-    construction's closed-form distances."""
+    """The emitted ordering's distance pattern, scanned on BFS distances."""
     if family == "gp":
         return validate_gp_ordering(**params)
     if family == "torus":

@@ -5,8 +5,8 @@ consecutive distances alternate between the diameter and a short constant,
 the antipodal coloring (k = diameter - 1) that the shared pair-chain rule
 ``results.chain_colors`` gives it, and the closed-form span.  Every
 construction passes ``results.checked_construction`` before it is
-returned; ``validate_gp_ordering`` scans the emitted ordering on the
-construction's closed-form distances.
+returned; ``validate_gp_ordering`` scans the emitted ordering on BFS
+distances.
 
 For n = 4t+2 with t even the pair chain spans (n-1)(n+2)/4, below the
 published (n^2+5n-6)/4.  That equals the triameter bound
@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import GraphError, distances, make_gp
+from .graphs import GraphError, all_pairs_distances, distances, make_gp
 from .radio import Coloring
 from .results import (EXACT, UPPER_BOUND, Construction, FormulaResult, PatternReport,
                       chain_colors, checked_construction, pattern_mismatches)
@@ -147,8 +147,7 @@ def gp_construction(n: int) -> Construction:
 
 
 def validate_gp_ordering(n: int) -> PatternReport:
-    """Scan the emitted ordering's distance pattern on the construction's
-    closed-form distances.
+    """Scan the emitted ordering's distance pattern on BFS distances.
 
     Consecutive distances alternate between the diameter (each
     (v_{2j-1}, v_{2j}) is antipodal) and the case's short constant; two-step
@@ -157,7 +156,7 @@ def validate_gp_ordering(n: int) -> PatternReport:
     """
     case = gp_case(n)
     construction = gp_construction(n)
-    dist = construction.dist
+    dist = all_pairs_distances(construction.graph)
     diam = dist.diameter
     short = _SHORT_DISTANCE[case.label](n)
     if case.label == CASE_4T:

@@ -50,7 +50,7 @@ whose literal formulas double-cover vertices or whose seam distances
 degenerate.  Every construction passes ``results.checked_construction``
 before it is returned, and fails loudly with ``ConstructionError`` rather
 than emit a bad ordering; ``validate_torus_ordering`` scans the emitted
-ordering on the construction's closed-form distances.
+ordering on BFS distances.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ from math import gcd
 
 import numpy as np
 
-from .graphs import CycleProductDistances, GraphError, distances, make_torus
+from .graphs import (CycleProductDistances, GraphError, all_pairs_distances, distances,
+                     make_torus)
 from .radio import Coloring, triameter
 from .results import (EXACT, LOWER_BOUND, UPPER_BOUND, Construction,
                       ConstructionError, FormulaResult, PatternReport, TorusError,
@@ -416,8 +417,7 @@ def torus_ac_formula(r: int, s: int) -> FormulaResult:
 
 
 def validate_torus_ordering(r: int, s: int) -> PatternReport:
-    """Scan the emitted ordering's distance pattern on the construction's
-    closed-form distances.
+    """Scan the emitted ordering's distance pattern on BFS distances.
 
     Sizes built from a published per-class formula satisfy that class's
     clause set.  On repaired sizes, where the published clause set is
@@ -427,7 +427,7 @@ def validate_torus_ordering(r: int, s: int) -> PatternReport:
     """
     case = torus_case(r, s)
     construction = torus_construction(r, s)
-    dist = construction.dist
+    dist = all_pairs_distances(construction.graph)
     order = construction.ordering.order
     if not pattern_mismatches(order, dist.dists, _published_checks(case.label, case.r, case.s)):
         pattern = f"torus class {case.label}: published clause set (a)-(d)"
