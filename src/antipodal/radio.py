@@ -135,21 +135,17 @@ def ordering_from_sequence(coloring: Coloring, dist: Distances,
                            order) -> ColorOrdering:
     """Wrap an explicit color-non-decreasing vertex sequence.
 
-    Rejects sequences that are not permutations or not sorted by color.
-    Constructions certify against their own emitted sequence; equal-color
-    ties may therefore sit in any order here.  A sequence with an entry
-    that is not an integer, or not within 64 bits, is judged by
-    ``sorted(order) == list(range(n))`` and raises as that does.
+    Rejects sequences that are not permutations or not sorted by color; an
+    entry that is not an integer, or does not fit in 64 bits, makes the
+    sequence no permutation.  Constructions certify against their own
+    emitted sequence; equal-color ties may therefore sit in any order here.
     """
     order = tuple(order)
-    n = coloring.n
     try:
         vertices = np.fromiter(map(index, order), np.int64, len(order))
     except (TypeError, OverflowError):
-        if sorted(order) == list(range(n)):
-            raise  # equal to a permutation, but not of integers
         vertices = None
-    if vertices is None or not _is_permutation(vertices, n):
+    if vertices is None or not _is_permutation(vertices, coloring.n):
         raise RadioError("order is not a permutation of the vertices")
     return _ordering(coloring, dist, vertices)
 

@@ -10,6 +10,9 @@ feasible color to the next, and hands its child the lanes ORed with the
 bands its color forbids, all in a few big-integer operations on the lanes
 still ahead.  The table of bands takes about n^2/2 lanes, so a search whose
 table would exceed ``TABLE_BITS_CAP`` is refused.  Exhaustive by design.
+After a timeout each frame still on the stack counts the colors it has left
+in one step, so the count is that of a color-by-color loop, which stops at
+the next multiple of 4096.
 
 On the built-in families' graphs, under the same gate as the seed, the
 search also skips mirror images by lex-leader symmetry breaking (Crawford,
@@ -25,14 +28,17 @@ is a valid coloring of the same span and the same c(v_0) = 0, the
 lexicographically least coloring of each orbit satisfies c <=_lex c o sigma,
 and as sigma fixes the positions before j, that inequality reduces to
 c(v_j) <= c(sigma(v_j)).  Positions that carry no rule do no extra work.
+On a cycle the rule never prunes: its one reflection moves v_1 to v_{n-1},
+the last search position, where the colors it excludes are counted as nodes
+like any other, and C_3..C_16 walk the same tree without it.
 
 Measured on a 2-vCPU Xeon VM at k = diameter - 1 with the default budgets:
 C16, GP(7), T(3,5) and T(4,4) (up to 16 vertices) are settled in under
 0.1 s each, T(4,4) in 1.3M nodes (3.9M without the rule); GP(8) = 21 and
-T(3,6) = 16 (16 and 18 vertices) in 5-6 s, after 90M and 84M nodes; C20 and
-T(4,5) (20 vertices) stop at the 10^8-node budget in 2.5-5 s.  Those four
-long searches run at 14-40M nodes/s, and the benchmark's whole exact-solve
-workload at 15-20M nodes/s.
+T(3,6) = 16 (16 and 18 vertices) in 2.5-3.2 s, after 90M and 84M nodes; C20
+and T(4,5) (20 vertices) stop at the 10^8-node budget in 1.2-3.1 s.  Those
+four long searches run at 26-86M nodes/s, and the benchmark's whole
+exact-solve workload at about 18M nodes/s.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from .families import construct
 from .graphs import Graph, Distances, family_dims, product_reflections
@@ -137,21 +145,28 @@ def exact_rc_k(graph: Graph, dist: Distances, k: int,
     # Forbidden colors as bit masks.  Bit p of a lane stands for color p - k,
     # so the band of colors within required - 1 of color a is one left shift,
     # window[required] << a, with no negative shift.  Every later position
-    # has its own width-bit lane in one integer: lane p - i of spread[i] holds
-    # the band that position i forbids at position p.  Colors stay below the
-    # seed's span, so a shifted band never reaches the next lane.
+    # has its own width-bit lane in one integer: lane p - i - 1 of spread[i]
+    # holds the band that position i forbids at position p, so a node at
+    # position i hands its child (masks >> width) | spread[i] << c.  Colors
+    # stay below the seed's span, so a shifted band never reaches the next
+    # lane.
     width = incumbent + 2 * k + 1
     table_bits = n * (n + 1) // 2 * width
     if table_bits > TABLE_BITS_CAP:
         raise RadioError(f"exact search on {n} vertices needs a {table_bits >> 23} MiB "
                          f"table, above the {TABLE_BITS_CAP >> 23} MiB cap")
     window = [0] + [((1 << (2 * r - 1)) - 1) << (k - r + 1) for r in range(1, k + 1)]
+    at_i, at_p = np.triu_indices(n, 1)  # every pair of positions i < p, row by row
+    vertex = np.array(order)
+    required = iter((1 + k - dist.dists(vertex[at_i], vertex[at_p])).tolist())
     spread = [0] * n
-    for i, v in enumerate(order):
-        for p in range(i + 1, n):
-            required = 1 + k - dist.d(v, order[p])
-            if required > 0:
-                spread[i] |= window[required] << ((p - i) * width)
+    for i in range(n):
+        bands = 0
+        for p_lane in range(n - i - 1):
+            r = next(required)
+            if r > 0:
+                bands |= window[r] << (p_lane * width)
+        spread[i] = bands
     if is_family:
         # The lex-leader rule: position j, the first that sigma moves, marks
         # the lane of sigma(v_j).  The graph is regular, so order[0] is
@@ -160,67 +175,87 @@ def exact_rc_k(graph: Graph, dist: Distances, k: int,
         rules: dict[int, int] = {}
         for sigma in product_reflections(dims):
             j = next(p for p, v in enumerate(order) if sigma[v] != v)
-            rules[j] = rules.get(j, 0) | 1 << ((position[sigma[order[j]]] - j) * width)
+            rules[j] = rules.get(j, 0) | 1 << ((position[sigma[order[j]]] - j - 1) * width)
         for j, rule in rules.items():
             spread[j] = _LexBand(spread[j], rule, k)
     lane = (1 << width) - 1
+    last = n - 1
 
     assigned = [0] * n
     nodes = 0
     next_check = 4096  # the clock and the budget are read every 4096 nodes
+    guard = incumbent  # the incumbent, or -1 once the search has timed out
     start = time.monotonic()
-    timed_out = False
 
-    def dfs(i: int, current_max: int, masks: int) -> None:
-        # One node per color tried at position i, in increasing order; the
-        # loop breaks on the first color c with max(current_max, c) >=
-        # incumbent.  A run of forbidden colors is counted in one step, so
-        # the node count and the points where the clock and the budget are
-        # read are those of a color-by-color loop.  After a timeout the
-        # callers go on counting their remaining colors until their loop ends
-        # or the next multiple of 4096.
-        nonlocal incumbent, witness, nodes, next_check, timed_out
-        if timed_out:
+    def tick() -> bool:
+        # Read the budgets at each multiple of 4096 that nodes has reached.
+        # A timeout stops the count at that multiple, and each later count at
+        # the next one, as in a color-by-color loop.
+        nonlocal nodes, next_check, guard
+        while nodes >= next_check:
+            if next_check > node_budget or time.monotonic() - start > time_budget:
+                nodes = next_check
+                guard = -1
+            next_check += 4096
+            if guard < 0:
+                return True
+        return False
+
+    def leaf(i: int, masks: int) -> None:
+        # every color on the path is below the incumbent: an improvement
+        nonlocal incumbent, guard, witness
+        incumbent = guard = max(assigned)
+        out = [0] * n
+        for pos, v in enumerate(order):
+            out[v] = assigned[pos]
+        witness = Coloring(colors=tuple(out), k=k)
+
+    def dfs(i: int, masks: int) -> None:
+        # One node per color tried at position i, in increasing order, up to
+        # top, the incumbent.  A run of forbidden colors is counted in one
+        # step, so the node count and the points where the budgets are read
+        # are those of a color-by-color loop.  end is the last color the
+        # exit counts: top - 1, or top itself once an improvement has lowered
+        # top, as that loop counts the color it breaks on.
+        nonlocal nodes
+        blocked = (masks & lane) >> k  # bit c set: color c is forbidden
+        nxt = (blocked ^ (blocked + 1)).bit_length() - 1  # first allowed color
+        top = guard
+        if nxt >= top:
+            nodes += top
+            if nodes >= next_check:
+                tick()
             return
-        if i == n:
-            if current_max < incumbent:
-                incumbent = current_max
-                out = [0] * n
-                for pos, v in enumerate(order):
-                    out[v] = assigned[pos]
-                witness = Coloring(colors=tuple(out), k=k)
-            return
-        free = ~((masks & lane) >> k)  # bit c set: color c is allowed
-        top = incumbent  # colors >= incumbent cannot improve
-        if i == 0 and pin_first:
-            top = 1
-        c = 0
-        while c < top:
-            nxt = (free & -free).bit_length() - 1  # first allowed color >= c
-            if current_max >= incumbent or c >= incumbent:
-                stop = c  # the color at which the loop breaks
-            else:
-                stop = incumbent
-            last = nxt if nxt < stop else stop  # last color tried in this step
-            nodes += last - c + 1 if last < top else top - c
-            while nodes >= next_check:
-                if next_check > node_budget or time.monotonic() - start > time_budget:
-                    nodes = next_check
-                    timed_out = True
-                next_check += 4096
-                if timed_out:
-                    return
-            if last >= top or last == stop:
+        rest = masks >> width
+        bands = spread[i]
+        child = dfs if i < last else leaf
+        prev, end = -1, top - 1
+        while nxt < top:
+            nodes += nxt - prev
+            if nodes >= next_check and tick():
                 return
-            assigned[i] = nxt
-            dfs(i + 1, current_max if current_max > nxt else nxt,
-                (masks | spread[i] << nxt) >> width)
-            free &= free - 1
-            c = nxt + 1
+            assigned[i] = prev = nxt
+            child(i + 1, rest | bands << nxt)
+            if guard < top:  # an improvement below top, or a timeout
+                if incumbent < top and prev < end:  # colors are left
+                    top = end = incumbent
+                    if prev + 1 >= top or max(assigned[:i], default=0) >= top:
+                        top, end = -1, prev + 1  # the next color breaks the loop
+                if guard < 0:
+                    top = -1  # the colors left, counted in one step
+            blocked |= blocked + 1
+            nxt = (blocked ^ (blocked + 1)).bit_length() - 1
+        nodes += end - prev
+        if nodes >= next_check:
+            tick()
 
-    dfs(0, 0, 0)
+    if pin_first:  # color 0 at position 0, one node
+        nodes = 1
+        dfs(1, spread[0])
+    else:
+        dfs(0, 0)
     elapsed = time.monotonic() - start
-    if timed_out:
+    if guard < 0:
         lower = max(0, (n - 1) * (k + 1 - dist.diameter), min(k, incumbent))
         return ExactResult(TIMED_OUT, incumbent, lower, witness, nodes, elapsed)
     return ExactResult(SOLVED, incumbent, incumbent, witness, nodes, elapsed)

@@ -174,6 +174,10 @@ def test_ordering_from_sequence_validation(c4):
         ordering_from_sequence(coloring, d, (0, 1, 2))  # not a permutation
     with pytest.raises(RadioError):
         ordering_from_sequence(coloring, d, (1, 0, 2, 3))  # colors decrease
+    # entries that are not integers, or do not fit in 64 bits
+    for order in ((0, 1.0, 2, 3), ("0", 1, 2, 3), (0, 1, 2, 2 ** 70)):
+        with pytest.raises(RadioError, match="not a permutation"):
+            ordering_from_sequence(coloring, d, order)
 
 
 def test_coloring_validation():

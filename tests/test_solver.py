@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from conftest import random_connected_graph, reference_exact
@@ -128,6 +129,14 @@ def test_bit_mask_search_walks_the_reference_tree():
             for pin in (None, True, False):
                 for budget in (1, 4095, 4096, 4097, 12289, 10 ** 8):
                     cases.append((graph, dist, k, {"pin_first": pin, "node_budget": budget}))
+    # larger graphs whose searches improve on the seed and then time out,
+    # so both of a frame's rare events meet on the way back up
+    for n in (10, 11):
+        graph = random_connected_graph(rng, n)
+        dist = all_pairs_distances(graph)
+        for k in range(1, dist.diameter + 1):
+            for pin in (None, True, False):
+                cases.append((graph, dist, k, {"pin_first": pin, "node_budget": 50_000}))
     families = ([make_cycle(n) for n in range(3, 13)] + [make_gp(n) for n in range(3, 8)]
                 + [make_torus(3, 3), make_torus(3, 4), make_torus(4, 4)])
     for graph in families:
@@ -141,13 +150,17 @@ def test_bit_mask_search_walks_the_reference_tree():
                   + [make_torus(3, 3), make_torus(3, 5)]):
         dist = distances(graph)
         cases.append((graph, dist, dist.diameter, {}))
-    timed_out = 0
+    timed_out = improved_then_timed_out = 0
     for graph, dist, k, kw in cases:
         expected = reference_exact(graph, dist, k, time_budget=NEVER_BINDS_S, **kw)
         got = exact_rc_k(graph, dist, k, time_budget=NEVER_BINDS_S, **kw)
         assert _outcome(got) == _outcome(expected), (graph.n, k, kw)
-        timed_out += got.status == TIMED_OUT
-    assert timed_out > 0
+        if got.status == TIMED_OUT:
+            timed_out += 1
+            # a custom graph's seed is the greedy coloring
+            improved_then_timed_out += (graph.family == "custom"
+                                        and got.value < span(greedy_coloring(graph, dist, k)))
+    assert timed_out > 0 and improved_then_timed_out > 0
 
 
 @pytest.mark.parametrize("graph, budget, expected", [
@@ -163,6 +176,18 @@ def test_heavy_benchmark_sizes_walk_a_pinned_tree(graph, budget, expected):
                         time_budget=NEVER_BINDS_S)
     assert (result.status, result.value, result.nodes) == expected
     assert verify_radio_k(graph, dist, result.witness).valid
+
+
+def test_timeout_tail_is_counted_in_closed_form():
+    # 200 vertices: the first timeout fires within milliseconds, and every
+    # frame on the stack then counts its remaining colors in one step
+    # instead of trying them one by one
+    graph = make_gp(100)
+    dist = distances(graph)
+    start = time.monotonic()
+    result = exact_rc_k(graph, dist, dist.diameter - 1, node_budget=100_000)
+    assert time.monotonic() - start < 1.0
+    assert (result.status, result.value, result.nodes) == (TIMED_OUT, 2574, 199_131)
 
 
 def test_greedy_coloring_is_valid():
