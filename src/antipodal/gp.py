@@ -26,7 +26,7 @@ import numpy as np
 from .graphs import GraphError, all_pairs_distances, distances, make_gp
 from .radio import Coloring
 from .results import (EXACT, UPPER_BOUND, Construction, FormulaResult, PatternReport,
-                      chain_colors, checked_construction, pattern_mismatches)
+                      chain_colors, checked_construction, pair_chain, pattern_mismatches)
 
 CASE_4T = "4t"
 CASE_4T1 = "4t+1"
@@ -101,28 +101,20 @@ _SHORT_DISTANCE = {
 
 
 def gp_ordering(n: int) -> list[int]:
-    """Vertex sequence v_1..v_2n as indices into make_gp(n).
-
-    Odd positions sweep one cycle and even positions the other; each
-    (v_{2j+1}, v_{2j+2}) is an antipodal pair, ("x", i) with ("y", i + n//2).
-    n = 4t uses block-of-four subscript formulas, with the pairs of every
-    odd block starting on the inner cycle; the other classes use a single
-    modular step whose coprimality with n makes the sweep cover both cycles.
+    """Vertex sequence v_1..v_2n as indices into make_gp(n), a ``pair_chain``
+    on C_2 x C_n: each (v_{2j+1}, v_{2j+2}) is an antipodal pair, a vertex
+    and its partner at offset (1, n/2).  n = 4t copies the anchors
+    (0, m*n/4 + 1), m < 4, n/4 times with shift (1, 1 + n/2), so every odd
+    block starts on the inner cycle; the other classes copy the anchor
+    (0, 1) with a modular step whose coprimality with n makes the sweep
+    cover both cycles.
     """
     case = gp_case(n)
-    j = np.arange(n)
     if case.label == CASE_4T:
-        block, m = np.divmod(j, 4)
-        xs = m * (n // 4) + block + 1
-        inner_first = block % 2 == 1
+        anchors, copies, shift = [(0, m * (n // 4) + 1) for m in range(4)], n // 4, (1, 1 + n // 2)
     else:
-        xs = j * _STEP[case.label](n) + 1
-        inner_first = False
-    x, y = xs % n, n + (xs + n // 2) % n  # outer-cycle and inner-cycle indices
-    seq = np.empty(2 * n, dtype=np.int64)
-    seq[0::2] = np.where(inner_first, y, x)
-    seq[1::2] = np.where(inner_first, x, y)
-    return seq.tolist()
+        anchors, copies, shift = [(0, 1)], n, (0, _STEP[case.label](n))
+    return pair_chain((2, n), anchors, (1, n // 2), copies, shift).tolist()
 
 
 def gp_antipodal_coloring(n: int) -> Coloring:

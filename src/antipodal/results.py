@@ -1,8 +1,9 @@
 """Status-carrying result types shared by the construction modules, the
-one coloring rule of both families (``chain_colors``, the telescoped
-antipodal pair chain), the check every GP and torus construction passes
-before it is returned (``checked_construction``), and the scan of an
-ordering's distance pattern against a clause table (``pattern_mismatches``).
+one ordering generator (``pair_chain``) and the one coloring rule
+(``chain_colors``) of both families' antipodal pair chains, the check
+every GP and torus construction passes before it is returned
+(``checked_construction``), and the scan of an ordering's distance
+pattern against a clause table (``pattern_mismatches``).
 """
 
 from __future__ import annotations
@@ -72,6 +73,17 @@ class PatternReport:
     ok: bool
     pattern: str
     mismatches: tuple[tuple[str, int, object, object], ...]
+
+
+def pair_chain(dims, anchors, offsets, copies, shift) -> np.ndarray:
+    """Vertex indices i*s + j on C_r x C_s (``dims``) of ``copies`` copies
+    of the base ``anchors`` (i, j), copy c moved by c * ``shift``, each
+    anchor followed by its partner at anchor + offset: ``offsets`` holds
+    one row per anchor or one for all.  GP(n,1) is C_2 x C_n."""
+    r, s = dims
+    moved = np.asarray(anchors) + np.multiply.outer(np.arange(copies), shift)[:, None]
+    points = np.stack((moved, moved + offsets), axis=2)  # (copy, anchor, pair member, axis)
+    return ((points[..., 0] % r) * s + points[..., 1] % s).ravel()
 
 
 def chain_colors(order, deltas, dist: Distances) -> tuple[int, ...]:

@@ -50,7 +50,8 @@ def coloring_to_dict(graph: Graph, coloring: Coloring, meta: dict) -> dict:
 
 def coloring_from_dict(data: dict) -> tuple[Graph, Coloring, dict]:
     """Graph, coloring and metadata of a coloring file; a field of the wrong
-    JSON type raises ``RadioError`` or ``GraphError``, never a coercion."""
+    JSON type, or a color list whose length is not the graph's order,
+    raises ``RadioError`` or ``GraphError``, never a coercion."""
     if not isinstance(data, dict):
         raise RadioError("a coloring file holds one JSON object")
     ref, colors, meta = data["graph_ref"], data["colors"], data.get("meta", {})
@@ -58,7 +59,10 @@ def coloring_from_dict(data: dict) -> tuple[Graph, Coloring, dict]:
             and isinstance(colors, list) and isinstance(meta, dict)):
         raise RadioError("graph_ref, its params and meta must be objects, colors a list")
     graph = graph_from_params(ref["family"], ref["params"])
-    return graph, Coloring(colors=tuple(colors), k=data["k"]), meta
+    coloring = Coloring(colors=tuple(colors), k=data["k"])
+    if coloring.n != graph.n:
+        raise RadioError("coloring size does not match graph order")
+    return graph, coloring, meta
 
 
 def report_to_dict(report: VerificationReport) -> dict:

@@ -10,7 +10,8 @@ antipodal coloring whose span telescopes to
 passes.  For odd rs only a lower bound is available.
 
 Each normalized size picks its ordering by a fixed rule, with no trial
-candidates and no search, from one of two generators:
+candidates and no search, from one of two front ends to the pair-chain
+generator that GP(n,1) shares (``results.pair_chain``):
 
 - ``_blocks(r, s, rows, shift)`` builds a base block of pairs and its
   copies j < s/4, each moved by j * shift.  In each row of the block the
@@ -57,7 +58,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd
 
 import numpy as np
@@ -67,7 +67,7 @@ from .graphs import (CycleProductDistances, GraphError, all_pairs_distances, dis
 from .radio import Coloring, triameter
 from .results import (EXACT, LOWER_BOUND, UPPER_BOUND, Construction,
                       ConstructionError, FormulaResult, PatternReport, TorusError,
-                      chain_colors, checked_construction, pattern_mismatches)
+                      chain_colors, checked_construction, pair_chain, pattern_mismatches)
 
 L00 = "(0,0)"
 L10 = "(1,0)"
@@ -135,35 +135,24 @@ def _blocks(r, s, rows, shift):
     Each row is (count, step, pairs).  Its i-th anchor point, i < count, is
     (i * step, 0), and each (anchor, offset, delta) in ``pairs`` puts a pair
     there: its anchor at that point + anchor, its partner at the anchor +
-    offset.  Returns the labels and the per-pair deltas.
+    offset.  Returns the ``pair_chain`` indices and the per-pair deltas.
     """
-    base, pair_deltas = [], []
+    anchors, offsets, deltas = [], [], []
     for count, step, pairs in rows:
         for i in range(count):
-            for (x, y), (dx, dy), delta in pairs:
-                x += i * step
-                base += [(x % r, y % s), ((x + dx) % r, (y + dy) % s)]
-                pair_deltas.append(delta)
-    c1, c2 = shift
-    labels = [((x + j * c1) % r, (y + j * c2) % s)
-              for j in range(s // 4) for x, y in base]
-    return labels, pair_deltas * (s // 4)
+            for (x, y), offset, delta in pairs:
+                anchors.append((x + i * step, y))
+                offsets.append(offset)
+                deltas.append(delta)
+    return pair_chain((r, s), anchors, offsets, s // 4, shift), deltas * (s // 4)
 
 
 def _sweep(r, s, outer, inner, u, v, w, off):
-    """Pairs along an affine lattice walk: for q < ``outer`` and p <
-    ``inner``, the anchor q*u + p*v (plus w when p is odd) and its partner
-    at anchor + ``off``."""
-    walk = [(p * v[0] + p % 2 * w[0], p * v[1] + p % 2 * w[1]) for p in range(inner)]
-    dx, dy = off
-    labels = []
-    for q in range(outer):
-        qx, qy = q * u[0], q * u[1]
-        for x, y in walk:
-            x += qx
-            y += qy
-            labels += [(x % r, y % s), ((x + dx) % r, (y + dy) % s)]
-    return labels
+    """Pairs along an affine lattice walk, as ``pair_chain`` vertex indices:
+    for q < ``outer`` and p < ``inner``, the anchor q*u + p*v (plus w when
+    p is odd) and its partner at anchor + ``off``."""
+    p = np.arange(inner)[:, None]
+    return pair_chain((r, s), p * v + p % 2 * w, off, outer, u)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +284,9 @@ _FROZEN_CHAINS: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] =
 # builder dispatch
 # ---------------------------------------------------------------------------
 
-def _normalized_ordering(case: TorusCase) -> tuple[list, list | None]:
-    """Ordering and per-pair deltas (None stands for all zero) in normalized
-    space: each class as the parameters of ``_blocks`` or ``_sweep``."""
+def _normalized_ordering(case: TorusCase) -> tuple[np.ndarray, list | None]:
+    """Ordering, as indices into make_torus(case.r, case.s), and per-pair
+    deltas (None for all zero): each class as ``_blocks`` or ``_sweep``."""
     r, s, label = case.r, case.s, case.label
     if label == LODD:
         raise TorusError("no construction for odd rs; only a lower bound")
@@ -340,7 +329,7 @@ def _normalized_ordering(case: TorusCase) -> tuple[list, list | None]:
         return _sweep(r, s, r, s // 2, u, (0, (s + 2) // 4), (c, 0), half), None
     if (r, s) in _FROZEN_CHAINS:
         order, deltas = _FROZEN_CHAINS[(r, s)]
-        return [divmod(v, s) for v in order], list(deltas)
+        return np.array(order, dtype=np.int64), list(deltas)
     raise ConstructionError(f"no construction for ({r},{s})")
 
 
@@ -352,11 +341,10 @@ def torus_construction(r: int, s: int) -> Construction:
     """
     case = torus_case(r, s)
     formula = torus_ac_formula(r, s)
-    labels, deltas = _normalized_ordering(case)
-    flat = np.fromiter(chain.from_iterable(labels), np.int64, 2 * len(labels))
-    # a swapped case's normalized label (j, i) is the caller's (i, j)
-    i, j = (flat[1::2], flat[0::2]) if case.swapped else (flat[0::2], flat[1::2])
-    order = i * s + j
+    order, deltas = _normalized_ordering(case)
+    if case.swapped:  # the normalized vertex (j, i) of C_s x C_r is the caller's (i, j)
+        j, i = np.divmod(order, r)
+        order = i * s + j
     graph = make_torus(r, s)
     dist = distances(graph)
     coloring = Coloring(colors=chain_colors(order, deltas, dist), k=dist.diameter - 1)

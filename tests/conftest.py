@@ -8,7 +8,9 @@ import random
 import time
 from math import gcd
 
-from antipodal.gp import (CASE_4T, CASE_4T1, CASE_4T2_EVEN, CASE_4T2_ODD, CASE_4T3,
+import numpy as np
+
+from antipodal.gp import (_STEP, CASE_4T, CASE_4T1, CASE_4T2_EVEN, CASE_4T2_ODD, CASE_4T3,
                           gp_case, gp_ordering)
 from antipodal.graphs import Graph
 from antipodal.results import ConstructionError, TorusError
@@ -447,6 +449,29 @@ def reference_gp_colors(n):
     for position, v in enumerate(gp_ordering(n)):
         colors[v] = position // 2 * inc
     return tuple(colors)
+
+
+def reference_gp_ordering(n):
+    """GP(n,1)'s construction ordering from per-position subscripts, the
+    reference that ``gp_ordering``'s ``pair_chain`` parameters must
+    reproduce: the j-th pair is ("x", xs) with ("y", xs + n/2), or the
+    reverse.  n = 4t uses block-of-four subscripts, with the pairs of every
+    odd block starting on the inner cycle; the other classes a single
+    modular step."""
+    case = gp_case(n)
+    j = np.arange(n)
+    if case.label == CASE_4T:
+        block, m = np.divmod(j, 4)
+        xs = m * (n // 4) + block + 1
+        inner_first = block % 2 == 1
+    else:
+        xs = j * _STEP[case.label](n) + 1
+        inner_first = False
+    x, y = xs % n, n + (xs + n // 2) % n  # outer-cycle and inner-cycle indices
+    seq = np.empty(2 * n, dtype=np.int64)
+    seq[0::2] = np.where(inner_first, y, x)
+    seq[1::2] = np.where(inner_first, x, y)
+    return seq.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,18 @@ def test_export_dot(capsys, tmp_path):
     assert out.count(" -- ") == 32  # 4-regular on 16 vertices
 
 
+@pytest.mark.parametrize("colors", [[0, 1, 2], [], list(range(12))])
+@pytest.mark.parametrize("command", ["export-dot", "verify"])
+def test_coloring_of_the_wrong_length_is_a_usage_error(capsys, tmp_path, colors, command):
+    # GP(5) has 10 vertices: a short, empty or long color list is rejected
+    # when the file is read, with no traceback and no output
+    path = tmp_path / "gp5.json"
+    path.write_text(json.dumps({"graph_ref": {"family": "gp", "params": {"n": 5}},
+                                "k": 2, "colors": colors, "meta": {}}))
+    assert run_cli(capsys, command, str(path)) == (
+        2, "", "error: coloring size does not match graph order\n")
+
+
 def test_graph_command(capsys):
     code, out, _ = run_cli(capsys, "graph", "--family", "gp", "--n", "5")
     assert code == 0

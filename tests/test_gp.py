@@ -13,7 +13,7 @@ from antipodal.gp import (CASE_4T, CASE_4T1, CASE_4T2_EVEN, CASE_4T2_ODD,
                           validate_gp_ordering)
 from antipodal.results import EXACT, UPPER_BOUND, ConstructionError, TorusError
 
-from conftest import reference_gp_colors, reference_matrix_triameter
+from conftest import reference_gp_colors, reference_gp_ordering, reference_matrix_triameter
 
 EXPECTED_SPANS = {3: 2, 4: 6, 5: 8, 6: 15, 7: 12, 8: 21, 9: 24, 10: 27,
                   11: 30, 12: 44, 13: 48, 14: 65, 15: 56, 16: 75, 17: 80,
@@ -108,6 +108,13 @@ def test_validate_ordering_examples(n):
 def test_validate_ordering_full_range():
     for n in range(3, 25):
         assert validate_gp_ordering(n).ok, n
+
+
+def test_ordering_matches_the_per_position_subscripts():
+    # pair_chain's anchors, copies and shifts reproduce the per-position
+    # subscript formulas, every residue class, also at V = 2 * 10^4
+    for n in [*range(3, 401), *range(10000, 10008)]:
+        assert gp_ordering(n) == reference_gp_ordering(n), n
 
 
 def test_step_coprimality_up_to_200():

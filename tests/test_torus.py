@@ -191,18 +191,25 @@ def test_size_rule_census():
 
 
 def _ordering_outcome(build, case):
-    """Labels and per-pair deltas (None read as all zero, as
+    """Vertex indices and per-pair deltas (None read as all zero, as
     ``chain_colors`` reads it) or the error's type and text."""
     try:
-        labels, deltas = build(case)
+        order, deltas = build(case)
     except (ConstructionError, TorusError) as error:
         return type(error).__name__, str(error)
-    return labels, list(deltas) if deltas else [0] * (len(labels) // 2)
+    return [int(v) for v in order], list(deltas) if deltas else [0] * (len(order) // 2)
+
+
+def _reference_vertices(case):
+    """The per-class builders' ordering, each label (i, j) as the vertex
+    i*s + j of make_torus(case.r, case.s)."""
+    labels, deltas = reference_normalized_ordering(case)
+    return [i * case.s + j for i, j in labels], deltas
 
 
 def test_generators_match_the_per_class_builders():
     # _blocks and _sweep reproduce the nine per-class loops they replaced:
-    # the same labels, deltas and error text at every normalized size
+    # the same vertices, deltas and error text at every normalized size
     seen = set()
     for r in range(3, 61):
         for s in range(3, 61):
@@ -211,7 +218,7 @@ def test_generators_match_the_per_class_builders():
                 continue
             seen.add((case.r, case.s))
             assert (_ordering_outcome(_normalized_ordering, case)
-                    == _ordering_outcome(reference_normalized_ordering, case)), (r, s)
+                    == _ordering_outcome(_reference_vertices, case)), (r, s)
     assert len(seen) == 2159
 
 
