@@ -6,8 +6,8 @@ vertex ordering made of rs/2 consecutive antipodal pairs, colored by the
 pair-chain rule that GP(n,1) shares (``results.chain_colors``):
 g(A_{m+1}) = g(A_m) + diam - d(A_m, A_{m+1}).  That yields a valid
 antipodal coloring whose span telescopes to
-(rs/2 - 1)*diam - sum_m d(A_m, A_{m+1}) and whose minimality certificate
-passes.  For odd rs only a lower bound is available.
+(rs/2 - 1)*diam - sum_m d(A_m, A_{m+1}) and whose ordering passes the
+pattern certificate.  For odd rs only a lower bound is available.
 
 Each normalized size picks its ordering by a fixed rule, with no trial
 candidates and no search, from one of two front ends to the pair-chain
@@ -30,10 +30,9 @@ The classes, as parameters of those two (a = (r+1)/4 for (3,2) and
   (r/2, s/2), shift (1,1);
 - (1,0): one row with step (r+1)/2, offset ((r-1)/2, s/2), shift (1,1),
   or (4, s/2 + 1) at r = 5, where (1,1) breaks the block seams;
-- (3,0), when r >= 7 or s = 4, and at T(3,12), where it is a certified
-  chain of span 62 (``_CERTIFIED_SPAN_OVERRIDES``): one row with step
-  h = (r-1)/2, pairs ((0,0), (h, s/2), delta 1) and
-  (((r-3)/4, s/4), (h+1, s/2), delta 0), shift (1,1);
+- (3,0), when r >= 7 or s = 4: one row with step h = (r-1)/2, pairs
+  ((0,0), (h, s/2), delta 1) and (((r-3)/4, s/4), (h+1, s/2), delta 0),
+  shift (1,1);
 - (3,2) and (1,2), s = 2 (mod 8): parity rows, a sweep with outer s/2,
   inner r, u = w = (0, (s-2)/4), v = (a, 0), off ((r+1)/2, s/2);
 - (3,2) and (1,2), s = 6: a zigzag, a sweep with outer r, inner 3,
@@ -43,10 +42,13 @@ The classes, as parameters of those two (a = (r+1)/4 for (3,2) and
   r = 6 (mod 8) and ((r+2)/4, 0) otherwise, v = (0, (s+2)/4),
   w = ((r-2)/4, 0), off (r/2, s/2).
 
-T(3,8) and T(3,14) use a certified pair chain stored as data; every other
-size raises ``ConstructionError`` at once.  A census of every normalized
-size with r, s <= 100 found that these rules emit the published per-class
-clause set everywhere except T(3,6), T(5,6), T(3,8), T(3,12) and T(3,14),
+T(3,8), T(3,12) and T(3,14) use a pattern-certified pair chain stored as
+data; every other size raises ``ConstructionError`` at once.  At T(3,12)
+no such chain reaches the published span 60, so the stored chain has span
+61 and the formula reports it as an upper bound
+(``_CERTIFIED_SPAN_OVERRIDES``).  A census of every normalized size with
+r, s <= 100 found that these rules emit the published per-class clause
+set everywhere except T(3,6), T(5,6), T(3,8), T(3,12) and T(3,14),
 whose literal formulas double-cover vertices or whose seam distances
 degenerate.  Every construction passes ``results.checked_construction``
 before it is returned, and fails loudly with ``ConstructionError`` rather
@@ -257,22 +259,24 @@ def _published_checks(label, r, s):
 # certified pair chains (used where every published formula breaks)
 # ---------------------------------------------------------------------------
 
-# Sizes where NO antipodal coloring that passes the minimality certificate
-# can attain the published closed form (antipodal.span_check enumerates the
-# certified pair chains and rules it out).  The construction emits the
-# repaired (3,0) ordering, a certified chain of the listed span (not the
-# least certified span: T(3,12) also has a certified span-61 chain), and
-# the formula carries a discrepancy note.
-_CERTIFIED_SPAN_OVERRIDES: dict[tuple[int, int], int] = {(3, 12): 62}
+# Sizes where no pair chain that passes the pattern certificate reaches the
+# published closed form (an exhaustive enumeration of those chains, kept
+# with the tests, rules it out).  The construction emits the stored chain
+# of the listed span, the least such span, and the formula reports it as an
+# upper bound with a discrepancy note.
+_CERTIFIED_SPAN_OVERRIDES: dict[tuple[int, int], int] = {(3, 12): 61}
 
-# The two normalized sizes where no repaired ordering holds but a certified
-# pair chain reaches the formula span: the vertex order into make_torus(r, s)
-# and the per-pair color gaps.  Each is the first chain that the
-# enumeration of antipodal.span_check finds at that span.
+# The normalized sizes where no repaired ordering holds but a pair chain that
+# passes the pattern certificate reaches the formula span: the vertex order
+# into make_torus(r, s) and the per-pair color gaps.  Each is the first chain
+# that the tests' exhaustive enumeration finds at that span.
 _FROZEN_CHAINS: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {
     (3, 8): ((0, 12, 18, 6, 20, 8, 2, 14, 4, 16, 10, 22,
               1, 13, 3, 23, 9, 21, 11, 7, 17, 5, 19, 15),
              (0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0)),
+    (3, 12): ((0, 18, 27, 9, 1, 19, 4, 34, 13, 31, 16, 10, 25, 7, 28, 22, 14, 32,
+               11, 29, 2, 20, 35, 17, 26, 8, 23, 5, 33, 15, 24, 6, 21, 3, 12, 30),
+              (0, 1, 1, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 1, 0)),
     (3, 14): ((0, 21, 4, 25, 8, 15, 12, 19, 2, 23, 6, 27, 10, 31,
                35, 14, 18, 39, 22, 29, 26, 33, 16, 37, 20, 41, 3, 24,
                7, 28, 11, 32, 1, 36, 5, 40, 9, 30, 13, 34, 38, 17),
@@ -306,9 +310,8 @@ def _normalized_ordering(case: TorusCase) -> tuple[np.ndarray, list | None]:
                                         (((3 * r + 2) // 4, 3 * s // 4), half, 0)])]
         return _blocks(r, s, rows, (1, 1))
     # pair gaps alternate 1, 0, so every partner-side step is at least as long
-    # as its anchor step, which the published ordering violates; at T(3,12)
-    # a certified chain whose seams run one short
-    if label == L30 and (r >= 7 or s == 4 or (r, s) in _CERTIFIED_SPAN_OVERRIDES):
+    # as its anchor step, which the published ordering violates
+    if label == L30 and (r >= 7 or s == 4):
         h = (r - 1) // 2
         pairs = [((0, 0), (h, s // 2), 1), (((r - 3) // 4, s // 4), (h + 1, s // 2), 0)]
         return _blocks(r, s, [(r, h, pairs)], (1, 1))
@@ -396,9 +399,9 @@ def torus_ac_formula(r: int, s: int) -> FormulaResult:
     published = numerator // 8
     if (a, b) in _CERTIFIED_SPAN_OVERRIDES:
         derived = _CERTIFIED_SPAN_OVERRIDES[(a, b)]
-        note = (f"published closed form gives {published}, but no coloring "
-                f"passing the minimality certificate can attain it at this "
-                f"size; the emitted certified construction has span {derived}")
+        note = (f"published closed form gives {published}, but no pair chain "
+                f"passing the pattern certificate reaches it at this size; the "
+                f"emitted chain passes that certificate at span {derived}")
         return FormulaResult(derived, UPPER_BOUND, case.label,
                              printed_value=Fraction(published), discrepancy=note)
     return FormulaResult(published, EXACT, case.label)

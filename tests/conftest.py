@@ -14,8 +14,7 @@ from antipodal.gp import (_STEP, CASE_4T, CASE_4T1, CASE_4T2_EVEN, CASE_4T2_ODD,
                           gp_case, gp_ordering)
 from antipodal.graphs import Graph
 from antipodal.results import ConstructionError, TorusError
-from antipodal.torus import (_CERTIFIED_SPAN_OVERRIDES, _FROZEN_CHAINS, L00, L10, L12, L20,
-                             L22H, L22M, L30, L32, LODD)
+from antipodal.torus import L00, L10, L12, L20, L22H, L22M, L30, L32, LODD
 
 
 def random_connected_graph(rng: random.Random, n: int, extra_edge_prob: float = 0.3) -> Graph:
@@ -642,8 +641,7 @@ def reference_normalized_ordering(case):
     elif label == L20:
         labels = _order_20(r, s)
     elif label == L30:
-        # at T(3,12) a certified chain whose seams run one short
-        if r >= 7 or s == 4 or (r, s) in _CERTIFIED_SPAN_OVERRIDES:
+        if r >= 7 or s == 4:
             return _order_30(r, s)
     elif label == L32:
         if s % 8 == 2:
@@ -659,7 +657,4 @@ def reference_normalized_ordering(case):
         labels = _order_22_low(r, s) if r % 8 == 6 else _order_22_high(r, s)
     if labels is not None:
         return labels, None
-    if (r, s) in _FROZEN_CHAINS:
-        order, deltas = _FROZEN_CHAINS[(r, s)]
-        return [divmod(v, s) for v in order], list(deltas)
     raise ConstructionError(f"no construction for ({r},{s})")

@@ -1,4 +1,4 @@
-"""Exhaustive check of the spans that minimality-certified torus colorings reach.
+"""Exhaustive check of the spans that pattern-certified torus colorings reach.
 
 A valid antipodal coloring of T(r,s) (rs even) passes
 ``pattern_certificate`` on a color-sorted ordering exactly when that
@@ -33,10 +33,16 @@ which computes its conclusion from closed-form torus distances:
    first partner offset and the mirror of each even side pins the sign of
    that side's coordinate in the first step.
 
-Step (4) is the library's only search for certified pair chains, and no
-construction runs it: the torus builder stores the two chains it needs as
-data.  The check uses none of the library's orderings, so it can still
-audit the span the library emits.
+"Certified" here means passing ``pattern_certificate``, the paper's
+sufficient-condition pattern; it says nothing of the triameter-bound
+clause that ``minimality_certificate`` adds.
+
+The check is an audit kept with the tests, and no construction runs it:
+the torus builder stores the three chains it needs, T(3,8), T(3,12) and
+T(3,14), as data, each the first chain this enumeration finds at the
+span the builder emits.  The check uses none of the library's orderings,
+so it can still audit the span the library emits.  Tests and scripts
+import it as ``span_check`` with ``tests/`` on ``sys.path``.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .graphs import CycleProductDistances
+from antipodal.graphs import CycleProductDistances
 
 # enumeration nodes step (4) may walk before it gives up undecided
 NODE_CAP = 5_000_000

@@ -20,10 +20,10 @@ from antipodal.torus import (L20, LODD, torus_ac_formula,
                              torus_antipodal_coloring, torus_case,
                              torus_ordering, triameter_max)
 from antipodal.solver import SOLVED, exact_rc_k
-from antipodal.span_check import SpanCheckError, check_certified_span
 
 from conftest import (greedy_valid_coloring, random_connected_graph,
                       reference_matrix_triameter, reference_triameter)
+from span_check import SpanCheckError, check_certified_span
 
 GP_EXACT_NS = [3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17, 19, 20, 21, 23, 24]
 
@@ -105,7 +105,7 @@ def test_criterion_3_torus_even_rs():
     # Every size must carry a valid, certified coloring at the published
     # span, except a size the library flags as departing from it (status
     # UpperBound, printed_value = published).  Such a size is accepted only
-    # if antipodal.span_check rules out every certified coloring of span at
+    # if tests/span_check.py rules out every certified coloring of span at
     # most the published value (T(3,12): no certified span 60, see
     # scripts/t312_impossibility.py); the emitted
     # span must then sit above the published value.  A size marked Exact

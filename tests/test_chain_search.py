@@ -1,5 +1,6 @@
-"""Frozen certified chains: T(3,8) and T(3,14) are built from stored data,
-which the span check re-derives and the construction check re-verifies."""
+"""Frozen certified chains: T(3,8), T(3,12) and T(3,14) are built from
+stored data, which the span check re-derives and the construction check
+re-verifies."""
 
 import pytest
 
@@ -7,14 +8,15 @@ from antipodal import torus
 from antipodal.graphs import all_pairs_distances, make_torus
 from antipodal.radio import (ordering_from_sequence, pattern_certificate,
                              span, verify_radio_k)
-from antipodal.span_check import check_certified_span
 from antipodal.torus import (ConstructionError, torus_ac_formula,
                              torus_antipodal_coloring, torus_ordering)
+
+from span_check import check_certified_span
 
 
 def test_repaired_chains_validate_end_to_end():
     # sizes whose published orderings fail, so the frozen chains build them
-    for r, s in ((3, 8), (3, 14)):
+    for r, s in ((3, 8), (3, 12), (3, 14)):
         graph = make_torus(r, s)
         dist = all_pairs_distances(graph)
         coloring = torus_antipodal_coloring(r, s)
@@ -24,7 +26,7 @@ def test_repaired_chains_validate_end_to_end():
         assert pattern_certificate(ordering, dist).certified
 
 
-@pytest.mark.parametrize("s", [8, 14])
+@pytest.mark.parametrize("s", [8, 12, 14])
 def test_frozen_chain_is_the_enumerations_first_chain(s):
     chain = check_certified_span(3, s, torus_ac_formula(3, s).value).chain
     order = tuple(v for v, _ in chain)

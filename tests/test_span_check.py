@@ -7,9 +7,10 @@ import pytest
 from antipodal.graphs import all_pairs_distances, cyclic_distance, make_torus
 from antipodal.radio import (Coloring, ordering_from_sequence,
                              pattern_certificate, span, verify_radio_k)
-from antipodal import span_check
-from antipodal.span_check import SpanCheckError, check_certified_span
 from antipodal.torus import torus_ac_formula
+
+import span_check
+from span_check import SpanCheckError, check_certified_span
 
 
 def _library_accepts(r, s, chain):

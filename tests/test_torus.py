@@ -11,8 +11,8 @@ from antipodal.radio import (Coloring, ordering_from_sequence,
                              pattern_certificate, span,
                              span_identity_residual, verify_radio_k)
 from antipodal.results import EXACT, LOWER_BOUND, ConstructionError, pattern_mismatches
-from antipodal.torus import (L00, L10, L12, L20, L22H, L22M, L30, L32, LODD,
-                             TorusError, _normalized_ordering, _published_checks,
+from antipodal.torus import (_FROZEN_CHAINS, L00, L10, L12, L20, L22H, L22M, L30, L32,
+                             LODD, TorusError, _normalized_ordering, _published_checks,
                              torus_ac_formula, torus_antipodal_coloring, torus_case,
                              torus_construction, torus_ordering, triameter_max,
                              validate_torus_ordering)
@@ -209,7 +209,8 @@ def _reference_vertices(case):
 
 def test_generators_match_the_per_class_builders():
     # _blocks and _sweep reproduce the nine per-class loops they replaced:
-    # the same vertices, deltas and error text at every normalized size
+    # the same vertices, deltas and error text at every normalized size;
+    # the sizes stored as chains build exactly the stored data
     seen = set()
     for r in range(3, 61):
         for s in range(3, 61):
@@ -217,8 +218,12 @@ def test_generators_match_the_per_class_builders():
             if (case.r, case.s) in seen:
                 continue
             seen.add((case.r, case.s))
-            assert (_ordering_outcome(_normalized_ordering, case)
-                    == _ordering_outcome(_reference_vertices, case)), (r, s)
+            if (case.r, case.s) in _FROZEN_CHAINS:
+                order, deltas = _FROZEN_CHAINS[(case.r, case.s)]
+                expected = list(order), list(deltas)
+            else:
+                expected = _ordering_outcome(_reference_vertices, case)
+            assert _ordering_outcome(_normalized_ordering, case) == expected, (r, s)
     assert len(seen) == 2159
 
 
@@ -287,36 +292,39 @@ def test_gcd_side_conditions():
 
 
 # A valid span-61 antipodal coloring of T(3,12), indexed like make_torus(3, 12),
-# found by simulated annealing; the certificate rejects every color order of it.
+# found by simulated annealing; the pattern certificate rejects every color
+# order of it.  It is not the stored chain.
 T312_SPAN_61 = (54, 25, 11, 43, 29, 0, 61, 39, 17, 50, 35, 7, 61, 39, 4, 50, 22,
                 14, 54, 32, 10, 43, 28, 0, 47, 32, 18, 57, 36, 7, 46, 25, 3, 58,
                 21, 14)
 
 
 def test_t312_certified_span_override():
-    # No coloring passing the minimality certificate can attain the
-    # published 60 at (3,12) (antipodal.span_check rules it out); the
-    # library emits a certified span-62 chain and documents the conflict.
+    # No pair chain passing the pattern certificate reaches the published 60
+    # at (3,12) (tests/span_check.py rules it out); the library emits a
+    # stored chain of span 61 that passes it and documents the conflict.
     result = torus_ac_formula(3, 12)
-    assert result.value == 62
+    assert result.value == 61
     assert result.status == "UpperBound"
     assert result.printed_value == Fraction(60)
-    assert result.discrepancy and "certificate" in result.discrepancy
+    assert result.discrepancy and "pattern certificate" in result.discrepancy
     coloring = torus_antipodal_coloring(3, 12)
-    assert span(coloring) == 62
-    # a valid coloring below the emitted span: 62 is not minimal, so
-    # UpperBound is the right status whatever the certificate says
+    assert span(coloring) == 61
     graph = make_torus(3, 12)
     dist = all_pairs_distances(graph)
-    better = Coloring(T312_SPAN_61, dist.diameter - 1)
-    assert verify_radio_k(graph, dist, better).valid
-    assert span(better) == 61 < span(coloring)
-    ties = [[v for v in range(graph.n) if better.colors[v] == c]
-            for c in sorted(set(better.colors))]
+    emitted = ordering_from_sequence(coloring, dist, torus_ordering(3, 12))
+    assert pattern_certificate(emitted, dist).certified
+    # a second valid span-61 coloring that no color order certifies: the
+    # pattern is not the only way to reach 61
+    other = Coloring(T312_SPAN_61, dist.diameter - 1)
+    assert verify_radio_k(graph, dist, other).valid
+    assert span(other) == 61 == span(coloring)
+    ties = [[v for v in range(graph.n) if other.colors[v] == c]
+            for c in sorted(set(other.colors))]
     for choice in product(*(permutations(group) for group in ties)):
         order = [v for group in choice for v in group]
         assert not pattern_certificate(
-            ordering_from_sequence(better, dist, order), dist).certified
+            ordering_from_sequence(other, dist, order), dist).certified
 
 
 def test_odd_lower_bound_below_exact_for_t33():
