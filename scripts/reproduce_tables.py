@@ -2,8 +2,12 @@
 """Reproduce the closed-form span tables at desk scale.
 
 Prints the generalized Petersen table for n = 3..24 and the torus table for
-3 <= r, s <= 12 (even rs), cross-checking every construction against the
-verifier and the minimality certificate.  Equivalent to:
+3 <= r, s <= 12 (even rs).  Every row's construction passes the
+construction check (``checked_construction``: a permutation, the radio
+condition, the formula span, colors non-decreasing along the ordering),
+and its ``certificate`` column is ``pattern_certificate``'s status, the
+paper's ordering pattern, which alone does not prove minimality.
+Equivalent to:
 
     antipodal table --family gp --n-from 3 --n-to 24 --format csv
     antipodal table --family torus --r-max 12 --s-max 12 --format csv

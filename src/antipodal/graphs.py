@@ -4,21 +4,23 @@ Builds cycles, generalized Petersen graphs GP(n,1) = K_2 x C_n and toroidal
 grids C_r x C_s as products of cycles, and Cartesian products of any two
 graphs, as immutable adjacency structures.
 
-The public ``Graph`` constructor checks every input with array kernels over
-the flattened directed pairs (u, v): no self-loop, no neighbour out of range,
-sorted keys u * n + v with no duplicate, and the same keys as the reversed
-pairs v * n + u (symmetry); the labels must be a bijection onto the indices,
-and a breadth-first search checks connectivity.  The builders
-``make_cycle``, ``make_gp`` and ``make_torus`` return a ``Graph`` that
-records only the vertex count, the family, its params and the product's
-cycle lengths, so ``family_dims`` is O(1) on their graphs.  Its neighbour
-rows, adjacency, labels and pair keys are closed forms of the index, built
-on first use: ``gen`` and ``verify`` never build them.  These graphs skip
-the checks, as their rows are simple, symmetric and connected by
-construction; a test census rebuilds every builder graph of C_3..C_60,
-GP(3..60) and the tori up to 15 x 15 through the checking constructor.  Any
-other graph, including a hand-built one that names a built-in family, has
-its edge set compared with the product's by ``family_dims``.
+The public ``Graph`` constructor checks every input in one pass over the
+rows, in vertex order: no duplicate neighbour, then no self-loop and no
+neighbour out of range; then every pair (u, v) must have its reverse
+(symmetry), the labels must be a bijection onto the indices, and a
+breadth-first search checks connectivity.  Its edge set, the sorted pair
+keys u * n + v that ``edge_count`` and ``family_dims`` read, is built from
+the adjacency on first use.  The builders ``make_cycle``, ``make_gp`` and
+``make_torus`` return a ``Graph`` that records only the vertex count, the
+family, its params and the product's cycle lengths, so ``family_dims`` is
+O(1) on their graphs.  Its neighbour rows, adjacency and labels are closed
+forms of the index, built on first use: ``gen`` and ``verify`` build none
+of them, nor the pair keys.  These graphs skip the checks, as their rows
+are simple, symmetric and connected by construction; a test census
+rebuilds every builder graph of C_3..C_60, GP(3..60) and the tori up to
+15 x 15 through the checking constructor.  Any other graph, including a
+hand-built one that names a built-in family, has its edge set compared
+with the product's by ``family_dims``.
 
 ``distances`` computes exact hop distances: closed-form lookups
 (``CycleProductDistances``, two hop tables and no V x V array) for the
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count, product
+from itertools import count, product
 from math import prod
 from operator import index
 from typing import Iterator, Mapping
@@ -77,19 +79,27 @@ class Graph:
         n = self.n
         if n < 1 or len(self.adjacency) != n:
             raise GraphError("adjacency size does not match vertex count")
-        u, v = _pair_arrays(self.adjacency)
-        keys = _checked_pair_keys(self.adjacency, u, v)
-        # symmetric iff the keys of the reversed pairs are the same set
-        back = np.sort(v * n + u)
-        if not np.array_equal(keys, back):
-            first = int(np.setdiff1d(keys, back)[0])
-            raise GraphError(f"asymmetric edge ({first // n}, {first % n})")
+        rows = []
+        for u, row in enumerate(self.adjacency):
+            row = list(map(index, row))  # a non-integer neighbour raises TypeError
+            neighbours = set(row)
+            if len(neighbours) != len(row):
+                raise GraphError(f"duplicate neighbors at vertex {u}")
+            for v in row:
+                if v == u:
+                    raise GraphError(f"self-loop at vertex {u}")
+                if not 0 <= v < n:
+                    raise GraphError(f"neighbor {v} out of range")
+            rows.append(neighbours)
+        # the first pair (u, v) in lexicographic order whose reverse is missing
+        for u, row in enumerate(rows):
+            for v in sorted(row):
+                if u not in rows[v]:
+                    raise GraphError(f"asymmetric edge ({u}, {v})")
         if self.labels is not None:
             if sorted(self.labels.values()) != list(range(n)):
                 raise GraphError("labels are not a bijection onto 0..n-1")
         _assert_connected(self.adjacency)
-        # the edge set, kept for ``edge_count`` and ``family_dims``
-        object.__setattr__(self, "_pair_keys", keys)
 
     @property
     def index_of(self) -> Mapping[Label, int]:
@@ -115,6 +125,13 @@ class Graph:
             for v in self.adjacency[u]:
                 if u < v:
                     yield (u, v)
+
+    @cached_property
+    def _pair_keys(self) -> np.ndarray:
+        """The edge set: the sorted keys u * n + v of the directed pairs."""
+        n = self.n
+        return np.sort(np.fromiter(
+            (u * n + v for u, row in enumerate(self.adjacency) for v in row), np.int64))
 
     @property
     def edge_count(self) -> int:
@@ -163,46 +180,6 @@ class CycleProductDistances:
 
 # What ``distances`` returns; both give dists(us, vs), d(u, v), diameter and n.
 Distances = DistanceMatrix | CycleProductDistances
-
-
-def _pair_arrays(adjacency) -> tuple[np.ndarray, np.ndarray]:
-    """The directed pairs (u, v) of ``adjacency``, row by row, as two int64
-    arrays.  A neighbour that is not an integer raises TypeError."""
-    counts = np.fromiter(map(len, adjacency), np.int64, len(adjacency))
-    u = np.repeat(np.arange(len(adjacency)), counts)
-    try:
-        v = np.fromiter(map(index, chain.from_iterable(adjacency)), np.int64, len(u))
-    except OverflowError:  # beyond 64 bits, so out of range
-        big = next(x for x in chain.from_iterable(adjacency) if index(x).bit_length() > 63)
-        raise GraphError(f"neighbor {big} out of range") from None
-    return u, v
-
-
-def _checked_pair_keys(adjacency, u, v) -> np.ndarray:
-    """Sorted keys u * n + v of the directed pairs, once every row has passed
-    its checks: no duplicate neighbour, then no self-loop and no neighbour
-    outside 0..n-1 in row order.  The first vertex whose row fails is named.
-    """
-    n = len(adjacency)
-    bad = (v == u) | (v < 0) | (v >= n)
-    first_bad = int(bad.argmax()) if bad.any() else len(v)
-    # the pairs before the first bad one are in range, so their keys are exact
-    keys = u[:first_bad] * n + v[:first_bad]
-    if (keys[1:] <= keys[:-1]).any():  # some row unsorted or repeated
-        keys = np.sort(keys)
-    repeated = np.flatnonzero(keys[1:] == keys[:-1])
-    if len(repeated):
-        raise GraphError(f"duplicate neighbors at vertex {int(keys[repeated[0]]) // n}")
-    if first_bad < len(v):
-        w = int(u[first_bad])
-        row = adjacency[w]
-        if len(set(row)) != len(row):
-            raise GraphError(f"duplicate neighbors at vertex {w}")
-        x = row[first_bad - int(np.searchsorted(u, w))]
-        if x == w:
-            raise GraphError(f"self-loop at vertex {w}")
-        raise GraphError(f"neighbor {x} out of range")
-    return keys
 
 
 def _assert_connected(adjacency) -> None:
@@ -261,8 +238,8 @@ class _CycleProductGraph(Graph):
     names, in the row-major order of its vertex indices.
 
     It records the vertex count, the family, its params and the cycle
-    lengths, which answer ``family_dims``.  The rows, adjacency, labels and
-    pair keys are closed forms of the index, each built on first use.  The
+    lengths, which answer ``family_dims``.  The rows, adjacency and labels
+    are closed forms of the index, each built on first use.  The
     rows are simple, symmetric and connected, and the labels a bijection,
     by construction, so ``Graph``'s checks are skipped; the builder tests
     rebuild each graph through them.
@@ -283,11 +260,6 @@ class _CycleProductGraph(Graph):
     @cached_property
     def labels(self) -> dict[Label, int]:
         return _family_labels(self.family, self.params)
-
-    @cached_property
-    def _pair_keys(self) -> np.ndarray:
-        # the keys of sorted rows in vertex order are already sorted
-        return (np.arange(self.n)[:, None] * self.n + self._rows).ravel()
 
 
 def _family_labels(family: str, params: Mapping) -> dict[Label, int]:

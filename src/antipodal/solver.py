@@ -3,16 +3,21 @@
 Depth-first assignment of colors in a fixed vertex order with incumbent
 pruning.  The incumbent is seeded from the antipodal constructions when the
 graph's adjacency is one of the built-in families' edge sets (and
-k = diameter - 1), otherwise from a greedy coloring.  The forbidden colors
-of every later position are bit masks packed into one integer, one lane of
-span + 2k + 1 bits per position.  A node reads its own lane, jumps from one
-feasible color to the next, and hands its child the lanes ORed with the
-bands its color forbids, all in a few big-integer operations on the lanes
-still ahead.  The table of bands takes about n^2/2 lanes, so a search whose
-table would exceed ``TABLE_BITS_CAP`` is refused.  Exhaustive by design.
-After a timeout each frame still on the stack counts the colors it has left
-in one step, so the count is that of a color-by-color loop, which stops at
-the next multiple of 4096.
+k = diameter - 1), otherwise from a greedy coloring.  Those graphs are
+vertex-transitive, so their first vertex's color is fixed to 0; no other
+graph's is.  The forbidden colors of every later position are bit masks
+packed into one integer, one lane of span + 2k + 1 bits per position.  A
+node reads its own lane, jumps from one feasible color to the next, and
+hands its child the lanes ORed with the bands its color forbids, all in a
+few big-integer operations on the lanes still ahead.  The table of bands
+takes about n^2/2 lanes, so a search whose table would exceed
+``TABLE_BITS_CAP`` is refused.  Exhaustive by design.
+After a timeout each frame still on the stack, from the deepest up, counts
+the colors it has left in one step, as a color-by-color loop would: it
+counts on until its colors run out or the count reaches the next multiple
+of 4096, where the budget is read again.  So each frame can add up to 4096
+nodes past the budget, and the overshoot grows with the depth of the stack
+(GP(100) at a 10-node budget reports 27,099 nodes).
 
 On the built-in families' graphs, under the same gate as the seed, the
 search also skips mirror images by lex-leader symmetry breaking (Crawford,
@@ -69,13 +74,11 @@ class ExactResult:
     elapsed: float
 
 
-def greedy_coloring(graph: Graph, dist: Distances, k: int,
-                    order=None) -> Coloring:
-    """First-fit coloring along ``order``; always valid, rarely minimal."""
-    if order is None:
-        order = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
+def greedy_coloring(graph: Graph, dist: Distances, k: int) -> Coloring:
+    """First-fit coloring in descending degree then index order; always
+    valid, rarely minimal."""
     colors: dict[int, int] = {}
-    for v in order:
+    for v in sorted(range(graph.n), key=lambda v: (-graph.degree(v), v)):
         c = 0
         while any(abs(c - cu) < 1 + k - dist.d(v, u) for u, cu in colors.items()):
             c += 1
@@ -110,19 +113,18 @@ class _LexBand(int):
 
 
 def exact_rc_k(graph: Graph, dist: Distances, k: int,
-               node_budget: int = 10 ** 8, time_budget: float = 60.0,
-               pin_first: bool | None = None) -> ExactResult:
+               node_budget: int = 10 ** 8, time_budget: float = 60.0) -> ExactResult:
     """Minimum span over all radio k-colorings, with a witness.
 
-    ``pin_first`` fixes the first vertex's color to 0; sound only under
-    vertex transitivity, so the default enables it just for the built-in
-    families, and only when the adjacency is the declared family's edge set
-    (a relabeled graph gets neither the pin nor the construction seed).  The
-    same gate adds the lex-leader rule of the module docstring.  The search
-    order is descending degree then index; a color c is pruned as
-    soon as c reaches the incumbent span.  ``nodes`` counts the colors tried,
-    forbidden ones included.  Both budgets must be finite and >= 0, and the
-    packed table of bands must fit ``TABLE_BITS_CAP``; otherwise ``RadioError``.
+    On the built-in families' graphs, and only when the adjacency is the
+    declared family's edge set, the first vertex's color is fixed to 0,
+    which is sound under vertex transitivity; the same gate adds the
+    construction seed and the lex-leader rule of the module docstring (a
+    relabeled graph gets none of them).  The search order is descending
+    degree then index; a color c is pruned as soon as c reaches the
+    incumbent span.  ``nodes`` counts the colors tried, forbidden ones
+    included.  Both budgets must be finite and >= 0, and the packed table of
+    bands must fit ``TABLE_BITS_CAP``; otherwise ``RadioError``.
     """
     n = graph.n
     if not 1 <= k <= dist.diameter:
@@ -132,13 +134,11 @@ def exact_rc_k(graph: Graph, dist: Distances, k: int,
             raise RadioError(f"{name} must be finite and >= 0")
     dims = family_dims(graph)
     is_family = dims is not None
-    if pin_first is None:
-        pin_first = is_family
     order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
 
     seed = _construction_seed(graph, dist, k) if is_family else None
     if seed is None:
-        seed = greedy_coloring(graph, dist, k, order)
+        seed = greedy_coloring(graph, dist, k)
     incumbent = span(seed)
     witness = seed
 
@@ -249,7 +249,7 @@ def exact_rc_k(graph: Graph, dist: Distances, k: int,
         if nodes >= next_check:
             tick()
 
-    if pin_first:  # color 0 at position 0, one node
+    if is_family:  # color 0 at position 0, one node
         nodes = 1
         dfs(1, spread[0])
     else:

@@ -76,8 +76,7 @@ def reference_verify(graph, dist, coloring):
     return VerificationReport(valid=not violations, violations=tuple(violations))
 
 
-def reference_exact(graph, dist, k, node_budget=10 ** 8, time_budget=60.0,
-                    pin_first=None):
+def reference_exact(graph, dist, k, node_budget=10 ** 8, time_budget=60.0):
     """The exact solver's depth-first search as a plain per-color loop.
 
     Tries every color of every position against every earlier vertex.  On a
@@ -96,13 +95,11 @@ def reference_exact(graph, dist, k, node_budget=10 ** 8, time_budget=60.0,
     if not 1 <= k <= dist.diameter:
         raise RadioError("k out of range 1..diameter")
     is_family = family_dims(graph) is not None
-    if pin_first is None:
-        pin_first = is_family
     order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
 
     seed = _construction_seed(graph, dist, k) if is_family else None
     if seed is None:
-        seed = greedy_coloring(graph, dist, k, order)
+        seed = greedy_coloring(graph, dist, k)
     incumbent = span(seed)
     witness = seed
 
@@ -148,7 +145,7 @@ def reference_exact(graph, dist, k, node_budget=10 ** 8, time_budget=60.0,
                 witness = Coloring(colors=tuple(out), k=k)
             return
         top = incumbent  # colors >= incumbent cannot improve
-        if i == 0 and pin_first:
+        if i == 0 and is_family:
             top = 1
         for c in range(top):
             nodes += 1

@@ -81,7 +81,7 @@ def test_shift_invariance_t33():
             adj[perm[u]] = tuple(sorted(perm[v] for v in base.adjacency[u]))
         shifted = Graph(n=9, adjacency=tuple(adj))
         sdist = all_pairs_distances(shifted)
-        assert exact_rc_k(shifted, sdist, 1, pin_first=False).value == reference
+        assert exact_rc_k(shifted, sdist, 1).value == reference
 
 
 def test_budget_timeout_reports_bounds():
@@ -118,25 +118,24 @@ def test_library_call_rejects_invalid_budgets():
 
 def test_bit_mask_search_walks_the_reference_tree():
     # same status, value, lower bound, witness and node count as the
-    # color-by-color reference, in both branches of every pin and on both
-    # sides of the node-count multiples where the budget is read
+    # color-by-color reference, on custom graphs (unpinned, greedy seed) and
+    # built-in families (pinned, construction seed, lex-leader rule), and on
+    # both sides of the node-count multiples where the budget is read
     rng = random.Random(6)
     cases = []
     for n in (3, 4, 5, 6, 7, 8, 9, 6, 7, 8, 9):
         graph = random_connected_graph(rng, n)
         dist = all_pairs_distances(graph)
         for k in range(1, dist.diameter + 1):
-            for pin in (None, True, False):
-                for budget in (1, 4095, 4096, 4097, 12289, 10 ** 8):
-                    cases.append((graph, dist, k, {"pin_first": pin, "node_budget": budget}))
+            for budget in (1, 4095, 4096, 4097, 12289, 10 ** 8):
+                cases.append((graph, dist, k, {"node_budget": budget}))
     # larger graphs whose searches improve on the seed and then time out,
     # so both of a frame's rare events meet on the way back up
     for n in (10, 11):
         graph = random_connected_graph(rng, n)
         dist = all_pairs_distances(graph)
         for k in range(1, dist.diameter + 1):
-            for pin in (None, True, False):
-                cases.append((graph, dist, k, {"pin_first": pin, "node_budget": 50_000}))
+            cases.append((graph, dist, k, {"node_budget": 50_000}))
     families = ([make_cycle(n) for n in range(3, 13)] + [make_gp(n) for n in range(3, 8)]
                 + [make_torus(3, 3), make_torus(3, 4), make_torus(4, 4)])
     for graph in families:
