@@ -14,13 +14,13 @@ from .radio import (Coloring, ColorOrdering, MinimalityCertificate, RadioError,
                     ordering_from_sequence, pattern_certificate, span,
                     span_identity_residual, triameter, triameter_bound,
                     verify_radio_k)
-from .results import (EXACT, LOWER_BOUND, UPPER_BOUND, Construction, FormulaResult,
+from .results import (EXACT, LOWER_BOUND, UPPER_BOUND, Case, Construction, FormulaResult,
                       PatternReport)
-from .gp import (GpCase, gp_ac_formula, gp_antipodal_coloring, gp_case,
-                 gp_construction, gp_ordering, validate_gp_ordering)
-from .torus import (TorusCase, TorusError, ConstructionError, torus_ac_formula,
+from .gp import (gp_ac_formula, gp_antipodal_coloring, gp_case, gp_construction,
+                 gp_ordering, validate_gp_ordering)
+from .torus import (TorusError, ConstructionError, torus_ac_formula,
                     torus_antipodal_coloring, torus_case, torus_construction,
-                    torus_ordering, triameter_max, validate_torus_ordering)
+                    torus_ordering, validate_torus_ordering)
 from .families import construct
 from .solver import ExactResult, exact_rc_k, greedy_coloring
 

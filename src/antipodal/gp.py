@@ -1,12 +1,12 @@
 """Antipodal colorings of the generalized Petersen graph GP(n,1).
 
-Emits, per residue class of n, an explicit vertex ordering whose odd/even
-consecutive distances alternate between the diameter and a short constant,
-the antipodal coloring (k = diameter - 1) that the shared pair-chain rule
-``results.chain_colors`` gives it, and the closed-form span.  Every
-construction passes ``results.checked_construction`` before it is
-returned; ``validate_gp_ordering`` scans the emitted ordering on BFS
-distances.
+Classifies n by its residue class (``gp_case``), and emits per class an
+explicit vertex ordering whose odd/even consecutive distances alternate
+between the diameter and a short constant, plus the closed-form span.
+The shared steps of ``results`` do the rest: ``chain_construction`` colors
+the ordering (k = diameter - 1) and checks it before it is returned, and
+``pattern_report`` scans the emitted ordering on BFS distances against
+the class's clause set.
 
 For n = 4t+2 with t even the pair chain spans (n-1)(n+2)/4, below the
 published (n^2+5n-6)/4.  That equals the triameter bound
@@ -18,15 +18,14 @@ span and is reported exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .graphs import GraphError, all_pairs_distances, distances, make_gp
+from .graphs import GraphError, make_gp
 from .radio import Coloring
-from .results import (EXACT, UPPER_BOUND, Construction, FormulaResult, PatternReport,
-                      chain_colors, checked_construction, pair_chain, pattern_mismatches)
+from .results import (EXACT, UPPER_BOUND, Case, Construction, FormulaResult, PatternReport,
+                      chain_construction, pair_chain, pattern_report)
 
 CASE_4T = "4t"
 CASE_4T1 = "4t+1"
@@ -35,27 +34,19 @@ CASE_4T2_EVEN = "4t+2(t even)"
 CASE_4T3 = "4t+3"
 
 
-@dataclass(frozen=True)
-class GpCase:
-    """Residue class of n that selects the construction."""
-
-    n: int
-    label: str
-    t: int | None  # (n - 2) // 4 when n = 4t + 2, else None
-
-
-def gp_case(n: int) -> GpCase:
+def gp_case(n: int) -> Case:
+    """GP(n,1) as C_2 x C_n, with the residue class of n that selects the
+    construction."""
     if n < 3:
         raise GraphError("GP(n,1) needs n >= 3")
     m = n % 4
     if m == 0:
-        return GpCase(n, CASE_4T, None)
+        return Case(2, n, CASE_4T)
     if m == 1:
-        return GpCase(n, CASE_4T1, None)
+        return Case(2, n, CASE_4T1)
     if m == 3:
-        return GpCase(n, CASE_4T3, None)
-    t = (n - 2) // 4
-    return GpCase(n, CASE_4T2_ODD if t % 2 == 1 else CASE_4T2_EVEN, t)
+        return Case(2, n, CASE_4T3)
+    return Case(2, n, CASE_4T2_ODD if (n - 2) // 4 % 2 == 1 else CASE_4T2_EVEN)
 
 
 def gp_ac_formula(n: int) -> FormulaResult:
@@ -100,7 +91,7 @@ _SHORT_DISTANCE = {
 }
 
 
-def gp_ordering(n: int) -> list[int]:
+def gp_ordering(n: int) -> np.ndarray:
     """Vertex sequence v_1..v_2n as indices into make_gp(n), a ``pair_chain``
     on C_2 x C_n: each (v_{2j+1}, v_{2j+2}) is an antipodal pair, a vertex
     and its partner at offset (1, n/2).  n = 4t copies the anchors
@@ -114,7 +105,7 @@ def gp_ordering(n: int) -> list[int]:
         anchors, copies, shift = [(0, m * (n // 4) + 1) for m in range(4)], n // 4, (1, 1 + n // 2)
     else:
         anchors, copies, shift = [(0, 1)], n, (0, _STEP[case.label](n))
-    return pair_chain((2, n), anchors, (1, n // 2), copies, shift).tolist()
+    return pair_chain((2, n), anchors, (1, n // 2), copies, shift)
 
 
 def gp_antipodal_coloring(n: int) -> Coloring:
@@ -123,19 +114,10 @@ def gp_antipodal_coloring(n: int) -> Coloring:
 
 
 def gp_construction(n: int) -> Construction:
-    """Graph, distances, construction ordering, coloring and formula.
-
-    The ordering is a chain of n antipodal pairs, colored by
-    ``chain_colors``: each pair shares a color, and the next pair's color
-    grows by diam - d(A_m, A_{m+1}) between consecutive anchors.  The span
-    equals the closed-form value, and the construction check confirms it
-    before the record is returned.
-    """
-    graph = make_gp(n)
-    dist = distances(graph)
-    seq = np.array(gp_ordering(n), dtype=np.int64)
-    coloring = Coloring(colors=chain_colors(seq, None, dist), k=dist.diameter - 1)
-    return checked_construction(graph, dist, seq, coloring, gp_ac_formula(n))
+    """Graph, distances, construction ordering, coloring and formula: the
+    chain of n antipodal pairs of ``gp_ordering``, each pair sharing a
+    color, through the shared construct step."""
+    return chain_construction(make_gp(n), gp_ordering(n), None, gp_ac_formula(n))
 
 
 def validate_gp_ordering(n: int) -> PatternReport:
@@ -148,8 +130,7 @@ def validate_gp_ordering(n: int) -> PatternReport:
     """
     case = gp_case(n)
     construction = gp_construction(n)
-    dist = all_pairs_distances(construction.graph)
-    diam = dist.diameter
+    diam = construction.dist.diameter
     short = _SHORT_DISTANCE[case.label](n)
     if case.label == CASE_4T:
         q = n // 4
@@ -158,8 +139,6 @@ def validate_gp_ordering(n: int) -> PatternReport:
         step = _STEP[case.label](n)
         two = lambda j: step
     checks = (lambda j: diam if j % 2 == 0 else short, two, lambda j: None)
-    mismatches = pattern_mismatches(construction.ordering.order, dist.dists, checks)
     pattern = (f"gp case {case.label}: consecutive distances alternate "
                f"{diam} and {short}")
-    return PatternReport(ok=not mismatches, pattern=pattern,
-                         mismatches=tuple(mismatches))
+    return pattern_report(construction, [(pattern, checks)])

@@ -1,9 +1,8 @@
-"""Status-carrying result types shared by the construction modules, the
-one ordering generator (``pair_chain``) and the one coloring rule
-(``chain_colors``) of both families' antipodal pair chains, the check
-every GP and torus construction passes before it is returned
-(``checked_construction``), and the scan of an ordering's distance
-pattern against a clause table (``pattern_mismatches``).
+"""The construction pipeline that GP(n,1) = C_2 x C_n and T(r,s) = C_r x C_s
+share: the case type (``Case``), the ordering generator (``pair_chain``),
+one construct step (``chain_construction``: ``chain_colors``, then
+``checked_construction``) and one validate step (``pattern_report``, a BFS
+scan by ``pattern_mismatches``), with their result types.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graphs import Distances, Graph, GraphError
+from .graphs import Distances, Graph, GraphError, all_pairs_distances, distances
 from .radio import (ColorOrdering, Coloring, RadioError, _is_permutation, _ordering,
                     radio_violations, span)
 
@@ -47,6 +46,18 @@ class TorusError(GraphError):
 class ConstructionError(GraphError):
     """Raised when a construction of either family fails its own
     validation, or a size has no construction."""
+
+
+@dataclass(frozen=True)
+class Case:
+    """A size's construction class: normalized (r, s) of C_r x C_s (GP(n,1)
+    is C_2 x C_n) and label; ``swapped`` marks a torus whose (r, s) were
+    exchanged, its colorings mapped back to the caller's orientation."""
+
+    r: int
+    s: int
+    label: str
+    swapped: bool = False
 
 
 class Construction(NamedTuple):
@@ -92,7 +103,7 @@ def chain_colors(order, deltas, dist: Distances) -> tuple[int, ...]:
     for all zero), and the next anchor's color grows by
     diam - d(A_m, A_{m+1}), so the last anchor's color telescopes to
     (V/2 - 1) * diam - sum_m d(A_m, A_{m+1})."""
-    order = np.array(order, dtype=np.int64)
+    order = np.asarray(order, dtype=np.int64)
     anchors = order[0::2]
     steps = dist.diameter - dist.dists(anchors[:-1], anchors[1:])
     anchor_colors = np.concatenate(([0], np.cumsum(steps)))
@@ -134,6 +145,16 @@ def checked_construction(graph: Graph, dist: Distances, order: np.ndarray,
     return Construction(graph, dist, ordering, coloring, formula)
 
 
+def chain_construction(graph: Graph, order: np.ndarray, deltas,
+                       formula: FormulaResult) -> Construction:
+    """The checked record of the pair chain ``order`` (an integer array)
+    with per-pair ``deltas``, colored by ``chain_colors`` on ``graph``'s
+    distances (k = diameter - 1)."""
+    dist = distances(graph)
+    coloring = Coloring(colors=chain_colors(order, deltas, dist), k=dist.diameter - 1)
+    return checked_construction(graph, dist, order, coloring, formula)
+
+
 _PATTERN_KINDS = ("consecutive-distance", "two-step-distance", "three-step-distance")
 
 
@@ -164,3 +185,15 @@ def pattern_mismatches(order, dists: Callable,
             else:
                 mismatches.append((kind, j, expected, observed))
     return mismatches
+
+
+def pattern_report(construction: Construction, clause_sets) -> PatternReport:
+    """One BFS scan of the construction's ordering against each (pattern,
+    checks) of ``clause_sets`` in turn: the first that holds, else the
+    last's mismatches."""
+    dist = all_pairs_distances(construction.graph)
+    for pattern, checks in clause_sets:
+        mismatches = pattern_mismatches(construction.ordering.order, dist.dists, checks)
+        if not mismatches:
+            break
+    return PatternReport(ok=not mismatches, pattern=pattern, mismatches=tuple(mismatches))

@@ -1,11 +1,11 @@
 """Antipodal colorings of toroidal grids T(r,s) = C_r x C_s.
 
 For even rs every residue pair (r mod 4, s mod 4), after an orientation
-swap, falls into one of seven construction classes.  Each class emits a
-vertex ordering made of rs/2 consecutive antipodal pairs, colored by the
-pair-chain rule that GP(n,1) shares (``results.chain_colors``):
-g(A_{m+1}) = g(A_m) + diam - d(A_m, A_{m+1}).  That yields a valid
-antipodal coloring whose span telescopes to
+swap, falls into one of seven construction classes (``torus_case``).  Each
+class emits a vertex ordering made of rs/2 consecutive antipodal pairs; the
+construct step that GP(n,1) shares (``results.chain_construction``) colors
+it by the pair-chain rule g(A_{m+1}) = g(A_m) + diam - d(A_m, A_{m+1}).
+That yields a valid antipodal coloring whose span telescopes to
 (rs/2 - 1)*diam - sum_m d(A_m, A_{m+1}) and whose ordering passes the
 pattern certificate.  For odd rs only a lower bound is available.
 
@@ -50,26 +50,25 @@ no such chain reaches the published span 60, so the stored chain has span
 r, s <= 100 found that these rules emit the published per-class clause
 set everywhere except T(3,6), T(5,6), T(3,8), T(3,12) and T(3,14),
 whose literal formulas double-cover vertices or whose seam distances
-degenerate.  Every construction passes ``results.checked_construction``
+degenerate.  Every construction passes the shared construction check
 before it is returned, and fails loudly with ``ConstructionError`` rather
-than emit a bad ordering; ``validate_torus_ordering`` scans the emitted
-ordering on BFS distances.
+than emit a bad ordering; ``validate_torus_ordering`` hands the published
+clause set, then the repaired pair-chain clause, to the shared validate
+step (``results.pattern_report``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
 
-from .graphs import (CycleProductDistances, GraphError, all_pairs_distances, distances,
-                     make_torus)
-from .radio import Coloring, triameter
-from .results import (EXACT, LOWER_BOUND, UPPER_BOUND, Construction,
+from .graphs import make_torus
+from .radio import Coloring
+from .results import (EXACT, LOWER_BOUND, UPPER_BOUND, Case, Construction,
                       ConstructionError, FormulaResult, PatternReport, TorusError,
-                      chain_colors, checked_construction, pair_chain, pattern_mismatches)
+                      chain_construction, pair_chain, pattern_report)
 
 L00 = "(0,0)"
 L10 = "(1,0)"
@@ -82,47 +81,32 @@ L22M = "(2,2)-mixed"
 LODD = "odd-odd"
 
 
-@dataclass(frozen=True)
-class TorusCase:
-    """Normalized orientation (r, s) plus the construction class label.
-
-    ``swapped`` records that the caller's (r, s) were exchanged; colorings
-    are mapped back through the transposition so callers always see their
-    original coordinates.
-    """
-
-    r: int
-    s: int
-    label: str
-    swapped: bool
-
-
-def torus_case(r: int, s: int) -> TorusCase:
+def torus_case(r: int, s: int) -> Case:
     """Classify (r, s), swapping the orientation where the class demands."""
     if r < 3 or s < 3:
         raise TorusError("torus needs r, s >= 3")
     if r % 2 == 1 and s % 2 == 1:
-        return TorusCase(r, s, LODD, False)
+        return Case(r, s, LODD)
     for a, b, swapped in ((r, s, False), (s, r, True)):
         ra, rb = a % 4, b % 4
         if (ra, rb) == (0, 0):
             if a >= b:  # larger coordinate first keeps the copy seams sane
-                return TorusCase(a, b, L00, swapped)
+                return Case(a, b, L00, swapped)
         elif (ra, rb) == (1, 0):
-            return TorusCase(a, b, L10, swapped)
+            return Case(a, b, L10, swapped)
         elif (ra, rb) == (2, 0):
-            return TorusCase(a, b, L20, swapped)
+            return Case(a, b, L20, swapped)
         elif (ra, rb) == (3, 0):
-            return TorusCase(a, b, L30, swapped)
+            return Case(a, b, L30, swapped)
         elif (ra, rb) == (3, 2):
-            return TorusCase(a, b, L32, swapped)
+            return Case(a, b, L32, swapped)
         elif (ra, rb) == (1, 2):
-            return TorusCase(a, b, L12, swapped)
+            return Case(a, b, L12, swapped)
         elif (ra, rb) == (2, 2):
             if (a % 8, b % 8) in ((2, 2), (6, 6)):
-                return TorusCase(a, b, L22H, swapped)
+                return Case(a, b, L22H, swapped)
             if a % 8 == 6 and b % 8 == 2:
-                return TorusCase(a, b, L22M, swapped)
+                return Case(a, b, L22M, swapped)
     raise TorusError(f"unclassifiable pair ({r}, {s})")  # pragma: no cover
 
 
@@ -288,7 +272,7 @@ _FROZEN_CHAINS: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] =
 # builder dispatch
 # ---------------------------------------------------------------------------
 
-def _normalized_ordering(case: TorusCase) -> tuple[np.ndarray, list | None]:
+def _normalized_ordering(case: Case) -> tuple[np.ndarray, list | None]:
     """Ordering, as indices into make_torus(case.r, case.s), and per-pair
     deltas (None for all zero): each class as ``_blocks`` or ``_sweep``."""
     r, s, label = case.r, case.s, case.label
@@ -338,20 +322,15 @@ def _normalized_ordering(case: TorusCase) -> tuple[np.ndarray, list | None]:
 
 def torus_construction(r: int, s: int) -> Construction:
     """Graph, distances, ordering, antipodal coloring (k = diameter - 1) and
-    formula of T(r,s) for even rs, each built once in the caller's
-    orientation.  The construction check runs before the record is
-    returned.
-    """
+    formula of T(r,s) for even rs, in the caller's orientation, through the
+    shared construct step."""
     case = torus_case(r, s)
     formula = torus_ac_formula(r, s)
     order, deltas = _normalized_ordering(case)
     if case.swapped:  # the normalized vertex (j, i) of C_s x C_r is the caller's (i, j)
         j, i = np.divmod(order, r)
         order = i * s + j
-    graph = make_torus(r, s)
-    dist = distances(graph)
-    coloring = Coloring(colors=chain_colors(order, deltas, dist), k=dist.diameter - 1)
-    return checked_construction(graph, dist, order, coloring, formula)
+    return chain_construction(make_torus(r, s), order, deltas, formula)
 
 
 def torus_ordering(r: int, s: int) -> list[int]:
@@ -418,23 +397,10 @@ def validate_torus_ordering(r: int, s: int) -> PatternReport:
     """
     case = torus_case(r, s)
     construction = torus_construction(r, s)
-    dist = all_pairs_distances(construction.graph)
-    order = construction.ordering.order
-    if not pattern_mismatches(order, dist.dists, _published_checks(case.label, case.r, case.s)):
-        pattern = f"torus class {case.label}: published clause set (a)-(d)"
-        return PatternReport(ok=True, pattern=pattern, mismatches=())
-    pairs = (lambda j: dist.diameter if j % 2 == 0 else None,
-             lambda j: None, lambda j: None)
-    mismatches = pattern_mismatches(order, dist.dists, pairs)
-    pattern = (f"torus class {case.label}: repaired pair chain for ({case.r},{case.s}) "
-               f"(published clause set unsatisfiable at this size)")
-    return PatternReport(ok=not mismatches, pattern=pattern,
-                         mismatches=tuple(mismatches))
-
-
-def triameter_max(r: int, s: int) -> int:
-    """Max of d(u,v) + d(v,w) + d(w,u) over all vertex triples of T(r,s):
-    ``radio.triameter`` of its closed-form distances."""
-    if r < 3 or s < 3:
-        raise GraphError("torus needs r, s >= 3")
-    return triameter(CycleProductDistances(r, s))
+    diam = construction.dist.diameter
+    published = (f"torus class {case.label}: published clause set (a)-(d)",
+                 _published_checks(case.label, case.r, case.s))
+    repaired = (f"torus class {case.label}: repaired pair chain for ({case.r},{case.s}) "
+                f"(published clause set unsatisfiable at this size)",
+                (lambda j: diam if j % 2 == 0 else None, lambda j: None, lambda j: None))
+    return pattern_report(construction, [published, repaired])

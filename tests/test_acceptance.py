@@ -10,15 +10,16 @@ import time
 import numpy as np
 import pytest
 
-from antipodal.graphs import (all_pairs_distances, closed_form_diameter,
-                              cyclic_distance, make_cycle, make_gp, make_torus)
+from antipodal.graphs import (CycleProductDistances, all_pairs_distances,
+                              closed_form_diameter, cyclic_distance, make_cycle, make_gp,
+                              make_torus)
 from antipodal.radio import (order_by_color, ordering_from_sequence, pattern_certificate,
-                             span, span_identity_residual, verify_radio_k)
+                             span, span_identity_residual, triameter, verify_radio_k)
 from antipodal.results import EXACT, LOWER_BOUND, UPPER_BOUND
 from antipodal.gp import gp_ac_formula, gp_construction
 from antipodal.torus import (L20, LODD, torus_ac_formula,
                              torus_antipodal_coloring, torus_case,
-                             torus_ordering, triameter_max)
+                             torus_ordering)
 from antipodal.solver import SOLVED, exact_rc_k
 
 from conftest import (greedy_valid_coloring, random_connected_graph,
@@ -275,11 +276,11 @@ def test_criterion_7_triameter():
     failures = []
     for r in range(3, 10):
         for s in range(3, 10):
-            value = triameter_max(r, s)
+            value = triameter(CycleProductDistances(r, s))
             if value != reference_triameter(r, s):
                 failures.append(f"({r},{s}): triameter {value} != "
                                 f"{reference_triameter(r, s)} by enumeration")
-    if triameter_max(3, 3) != 6:
+    if triameter(CycleProductDistances(3, 3)) != 6:
         failures.append("T(3,3) must attain 6")
     _report("criterion-7 triameter", started, 60.0, failures)
 

@@ -1,10 +1,15 @@
-"""The shared construction check and distance-pattern scan."""
+"""The shared case type, construct step, construction check and
+distance-pattern scan."""
 
 import pytest
 
-from antipodal.gp import gp_construction
+from antipodal import results, torus
+from antipodal.cli import main
+from antipodal.gp import CASE_4T, gp_case, gp_construction
 from antipodal.radio import RadioError
-from antipodal.results import ConstructionError, checked_construction, pattern_mismatches
+from antipodal.results import (Case, ConstructionError, PatternReport, TorusError,
+                               checked_construction, pattern_mismatches, pattern_report)
+from antipodal.torus import L20, torus_case
 
 
 def test_construction_check_rejects_a_reversed_ordering():
@@ -30,3 +35,57 @@ def test_pattern_mismatches_reports_each_kind_of_claim():
     assert pattern_mismatches(order, lambda u, v: abs(u - v), checks) == [
         ("three-step-distance", 4, ">=8", 7),
     ]
+
+
+def test_both_families_classify_into_one_case_type():
+    assert gp_case(8) == Case(2, 8, CASE_4T)
+    # T(4,6) is classified in the orientation (6, 4) that its class uses
+    assert torus_case(4, 6) == Case(6, 4, L20, swapped=True)
+    assert type(gp_case(8)) is type(torus_case(4, 6)) is Case
+
+
+def test_pattern_report_takes_the_first_clause_set_that_holds(monkeypatch):
+    construction = gp_construction(5)  # diameter 3, short distance 2
+    bfs, scans = results.all_pairs_distances, []
+
+    def counted(graph):
+        scans.append(graph)
+        return bfs(graph)
+
+    monkeypatch.setattr(results, "all_pairs_distances", counted)
+    none = lambda j: None
+    pairs = ("pairs", (lambda j: 3 if j % 2 == 0 else None, none, none))
+    zero = ("zero", (lambda j: 0, none, none))
+    far = ("far", (lambda j: 4, none, none))
+    assert pattern_report(construction, [zero, pairs, far]) == PatternReport(True, "pairs", ())
+    assert pattern_report(construction, [pairs, zero]) == PatternReport(True, "pairs", ())
+    # no set holds: the last set's pattern and every one of its mismatches
+    report = pattern_report(construction, [far, zero])
+    assert (report.ok, report.pattern) == (False, "zero")
+    assert report.mismatches == tuple(("consecutive-distance", j, 0, 3 if j % 2 == 0 else 2)
+                                      for j in range(2, 11))
+    # one BFS scan per report, whatever the number of clause sets
+    assert len(scans) == 3
+
+
+def test_construction_check_rejects_a_broken_torus_pair(monkeypatch, capsys):
+    # the torus twin of the GP check: pair 0's partner swapped with pair 1's
+    # anchor share a color without being antipodal, and the shared construct
+    # step names them by their (i, j) labels
+    ordering = torus._normalized_ordering
+
+    def broken(case):
+        order, deltas = ordering(case)
+        order = order.copy()
+        order[1], order[2] = order[2], order[1]
+        return order, deltas
+
+    monkeypatch.setattr(torus, "_normalized_ordering", broken)
+    with pytest.raises(ConstructionError, match=r"antipodal condition fails between "
+                       r"\(\d+, \d+\) and \(\d+, \d+\) \(color gap \d+ < \d+\) "
+                       r"for \(4,4\)") as info:
+        torus.torus_construction(4, 4)
+    assert not isinstance(info.value, TorusError)
+    for command in ("gen", "validate-ordering"):
+        assert main([command, "--family", "torus", "--r", "4", "--s", "4"]) == 2
+        assert "antipodal condition fails" in capsys.readouterr().err

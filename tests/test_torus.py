@@ -5,17 +5,15 @@ from math import gcd
 
 import pytest
 
-from antipodal.graphs import (CycleProductDistances, GraphError,
-                              all_pairs_distances, make_torus)
+from antipodal.graphs import CycleProductDistances, all_pairs_distances, make_torus
 from antipodal.radio import (Coloring, ordering_from_sequence,
                              pattern_certificate, span,
-                             span_identity_residual, verify_radio_k)
+                             span_identity_residual, triameter, verify_radio_k)
 from antipodal.results import EXACT, LOWER_BOUND, ConstructionError, pattern_mismatches
 from antipodal.torus import (_FROZEN_CHAINS, L00, L10, L12, L20, L22H, L22M, L30, L32,
                              LODD, TorusError, _normalized_ordering, _published_checks,
                              torus_ac_formula, torus_antipodal_coloring, torus_case,
-                             torus_construction, torus_ordering, triameter_max,
-                             validate_torus_ordering)
+                             torus_construction, torus_ordering, validate_torus_ordering)
 
 from conftest import reference_normalized_ordering, reference_triameter
 
@@ -261,10 +259,8 @@ def test_t56_clause_d_even_positions():
 
 
 def test_triameter_examples():
-    assert triameter_max(3, 3) == 6
-    assert triameter_max(3, 4) == 7
-    with pytest.raises(GraphError):
-        triameter_max(2, 5)
+    assert triameter(CycleProductDistances(3, 3)) == 6
+    assert triameter(CycleProductDistances(3, 4)) == 7
 
 
 def test_triameter_attained_on_t33():
@@ -277,7 +273,7 @@ def test_triameter_attained_on_t33():
 def test_triameter_bound_exhaustive_small():
     for r in range(3, 10):
         for s in range(3, 10):
-            assert triameter_max(r, s) == reference_triameter(r, s) == r + s, (r, s)
+            assert triameter(CycleProductDistances(r, s)) == reference_triameter(r, s) == r + s, (r, s)
 
 
 def test_gcd_side_conditions():
