@@ -289,7 +289,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GraphError, RadioError, TorusError, FileNotFoundError,
+    except (GraphError, RadioError, TorusError, OSError, UnicodeDecodeError,
             json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

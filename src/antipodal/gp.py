@@ -132,13 +132,8 @@ def validate_gp_ordering(n: int) -> PatternReport:
     construction = gp_construction(n)
     diam = construction.dist.diameter
     short = _SHORT_DISTANCE[case.label](n)
-    if case.label == CASE_4T:
-        q = n // 4
-        two = lambda j: q if j % 2 == 1 else ("ge", q)
-    else:
-        step = _STEP[case.label](n)
-        two = lambda j: step
-    checks = (lambda j: diam if j % 2 == 0 else short, two, lambda j: None)
+    two = (("ge", n // 4), n // 4) if case.label == CASE_4T else (_STEP[case.label](n),)
+    tables = ((diam, short), two, (None,))
     pattern = (f"gp case {case.label}: consecutive distances alternate "
                f"{diam} and {short}")
-    return pattern_report(construction, [(pattern, checks)])
+    return pattern_report(construction, [(pattern, tables)])

@@ -158,25 +158,24 @@ def chain_construction(graph: Graph, order: np.ndarray, deltas,
 _PATTERN_KINDS = ("consecutive-distance", "two-step-distance", "three-step-distance")
 
 
-def pattern_mismatches(order, dists: Callable,
-                       checks: tuple[Callable, Callable, Callable]
-                       ) -> list[tuple[str, int, object, object]]:
-    """Scan ``order`` against a clause table of expected distances.
+def pattern_mismatches(order, dists: Callable, tables) -> list[tuple[str, int, object, object]]:
+    """Scan ``order`` against a clause set of expected distances.
 
-    ``checks`` holds three callables of a 1-based position j, giving the
-    expected d(v_j, v_{j-1}), d(v_j, v_{j-2}) and d(v_j, v_{j-3}): an int
-    for an exact claim, ("ge", bound) for a lower bound, or None for no
-    claim.  ``dists`` maps two integer arrays of entries of ``order`` to
-    their distances (``Distances.dists``); each kind's observed distances
-    come from one call.  Returns every (kind, j, expected, observed) that
-    breaks its claim, j being the later position, by kind and then by j.
+    ``tables`` holds three periodic tables, for d(v_j, v_{j-1}),
+    d(v_j, v_{j-2}) and d(v_j, v_{j-3}); the 1-based position j reads
+    ``table[j % len(table)]``: an int for an exact claim, ("ge", bound)
+    for a lower bound, or None for no claim.  ``dists`` maps two integer
+    arrays of entries of ``order`` to their distances (``Distances.dists``);
+    each kind's observed distances come from one call.  Returns every
+    (kind, j, expected, observed) that breaks its claim, j being the later
+    position, by kind and then by j.
     """
     vertices = np.array(order, dtype=np.int64)
     mismatches = []
-    for back, (kind, clause) in enumerate(zip(_PATTERN_KINDS, checks), start=1):
-        positions = range(back + 1, len(order) + 1)
+    for back, (kind, table) in enumerate(zip(_PATTERN_KINDS, tables), start=1):
         observed_at = dists(vertices[back:], vertices[:-back]).tolist()
-        for j, expected, observed in zip(positions, map(clause, positions), observed_at):
+        for j, observed in enumerate(observed_at, start=back + 1):
+            expected = table[j % len(table)]
             if expected is None or expected == observed:
                 continue
             if isinstance(expected, tuple):
@@ -189,11 +188,11 @@ def pattern_mismatches(order, dists: Callable,
 
 def pattern_report(construction: Construction, clause_sets) -> PatternReport:
     """One BFS scan of the construction's ordering against each (pattern,
-    checks) of ``clause_sets`` in turn: the first that holds, else the
+    tables) of ``clause_sets`` in turn: the first that holds, else the
     last's mismatches."""
     dist = all_pairs_distances(construction.graph)
-    for pattern, checks in clause_sets:
-        mismatches = pattern_mismatches(construction.ordering.order, dist.dists, checks)
+    for pattern, tables in clause_sets:
+        mismatches = pattern_mismatches(construction.ordering.order, dist.dists, tables)
         if not mismatches:
             break
     return PatternReport(ok=not mismatches, pattern=pattern, mismatches=tuple(mismatches))

@@ -54,7 +54,10 @@ degenerate.  Every construction passes the shared construction check
 before it is returned, and fails loudly with ``ConstructionError`` rather
 than emit a bad ordering; ``validate_torus_ordering`` hands the published
 clause set, then the repaired pair-chain clause, to the shared validate
-step (``results.pattern_report``).
+step (``results.pattern_report``).  Each clause set is three periodic
+tables of expected distances (``_published_checks``), read at position j
+as ``table[j % len(table)]``: the published lemmas fix them by j mod 2 or
+j mod 4, and (2,2)-mixed by j mod s.
 """
 
 from __future__ import annotations
@@ -148,94 +151,46 @@ def _sweep(r, s, outer, inner, u, v, w, off):
 def _published_checks(label, r, s):
     """Expected d(v_j, v_{j-1}) / d(v_j, v_{j-2}) / d(v_j, v_{j-3}) values.
 
-    Returns three callables over 1-based positions; each yields an int for
-    an exact claim, ("ge", bound) for an inequality, or None for no claim.
-    Even steps are always the diameter (consecutive antipodal pairs).
+    Returns three periodic tables; the 1-based position j reads
+    ``table[j % len(table)]``, an int for an exact claim or ("ge", bound)
+    for an inequality.  Even steps are always the diameter (consecutive
+    antipodal pairs).
     """
     diam = r // 2 + s // 2
-
-    def step_from(short_fn):
-        def step(j):  # d(v_j, v_{j-1}) for j in 2..rs
-            return diam if j % 2 == 0 else short_fn(j)
-        return step
-
     if label == L00:
         q = r // 4 + s // 4
-
-        def short(j):
-            m = (j - 1) // 2
-            return q if m % 2 == 1 else q + 1
-
-        def two(j):
-            return q if j % 4 in (3, 0) else q - 1
-
-        def three(j):
-            if j % 2 == 1:
-                return s // 2 + 1
-            return q if j % 4 == 0 else q + 1
-
-        return step_from(short), two, three
-
+        return ((diam, q + 1, diam, q), (q, q - 1, q - 1, q),
+                (q, s // 2 + 1, q + 1, s // 2 + 1))
     if label in (L10, L32):
         b = (r + s + 3) // 4
         c = (r + s - 1) // 4
-        return (step_from(lambda j: b),
-                lambda j: c,
-                lambda j: c if j % 2 == 0 else ("ge", 1))
-
+        return (diam, b), (c,), (c, ("ge", 1))
     if label == L20:
         b = (r + 2) // 4 + s // 4
         c = (r - 2) // 4 + s // 4
-        return (step_from(lambda j: b),
-                lambda j: c,
-                lambda j: b if j % 2 == 0 else ("ge", 1))
-
+        return (diam, b), (c,), (b, ("ge", 1))
     if label == L30:
         b = (r + 1) // 4 + s // 4
         lo = (r - 3) // 4 + s // 4
-
-        def two(j):
-            return lo if j % 4 in (2, 3) else b
-
-        return (step_from(lambda j: b),
-                two,
-                lambda j: b if j % 2 == 0 else ("ge", s // 2 - 1))
-
-    if label == L22H:
-        b = (r + 2) // 4 + (s - 2) // 4
-        c = (r - 2) // 4 + (s + 2) // 4
-        return (step_from(lambda j: b),
-                lambda j: c,
-                lambda j: b if j % 2 == 0 else ("ge", 1))
-
-    if label == L22M:
-        b = (r + 2) // 4 + (s - 2) // 4
-        b_exc = (r + 2) // 4 + (s + 2) // 4
-        c = (r - 2) // 4 + (s + 2) // 4
-        c_exc = (r - 2) // 4 + (s - 2) // 4
-
-        def short(j):
-            m = (j - 1) // 2  # pair index of the step into odd position j
-            return b_exc if m % (s // 2) == 0 else b
-
-        def two(j):
-            return c_exc if j > s and j % s in (1, 2) else c
-
-        def three(j):
-            if j % 2 == 1:
-                return ("ge", 1)
-            return b_exc if j > s and j % s == 2 else b
-
-        return step_from(short), two, three
-
+        return (diam, b), (b, b, lo, lo), (b, ("ge", s // 2 - 1))
     if label == L12:
         b = (r + 3) // 4 + (s + 2) // 4
         c = (r - 1) // 4 + (s - 2) // 4
         d_even = (r - 1) // 4 + (s + 2) // 4
-        return (step_from(lambda j: b),
-                lambda j: c,
-                lambda j: d_even if j % 2 == 0 else ("ge", 2))
-
+        return (diam, b), (c,), (d_even, ("ge", 2))
+    b = (r + 2) // 4 + (s - 2) // 4
+    c = (r - 2) // 4 + (s + 2) // 4
+    if label == L22H:
+        return (diam, b), (c,), (b, ("ge", 1))
+    if label == L22M:
+        # period s, p = j mod s: the pair step into p = 1 and the two- and
+        # three-step distances that reach over it are the exceptions
+        b_exc = (r + 2) // 4 + (s + 2) // 4
+        c_exc = (r - 2) // 4 + (s - 2) // 4
+        period = range(s)
+        return (tuple(diam if p % 2 == 0 else b_exc if p == 1 else b for p in period),
+                tuple(c_exc if p in (1, 2) else c for p in period),
+                tuple(("ge", 1) if p % 2 == 1 else b_exc if p == 2 else b for p in period))
     raise TorusError(f"no pattern table for {label}")  # pragma: no cover
 
 
@@ -397,10 +352,9 @@ def validate_torus_ordering(r: int, s: int) -> PatternReport:
     """
     case = torus_case(r, s)
     construction = torus_construction(r, s)
-    diam = construction.dist.diameter
     published = (f"torus class {case.label}: published clause set (a)-(d)",
                  _published_checks(case.label, case.r, case.s))
     repaired = (f"torus class {case.label}: repaired pair chain for ({case.r},{case.s}) "
                 f"(published clause set unsatisfiable at this size)",
-                (lambda j: diam if j % 2 == 0 else None, lambda j: None, lambda j: None))
+                ((construction.dist.diameter, None), (None,), (None,)))
     return pattern_report(construction, [published, repaired])

@@ -275,6 +275,23 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+def test_gen_out_to_a_directory_is_an_input_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "gen", "--family", "gp", "--n", "8", "--out", str(tmp_path))
+    assert code == 2 and not out and err.startswith("error: ")
+
+
+def test_verify_of_a_directory_is_an_input_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "verify", str(tmp_path))
+    assert code == 2 and not out and err.startswith("error: ")
+
+
+def test_verify_of_a_non_utf8_file_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"family": "gp\xe9"}')
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2 and not out and err.startswith("error: ")
+
+
 def test_main_builds_the_parser_once(capsys):
     cli.build_parser.cache_clear()
     for _ in range(5):

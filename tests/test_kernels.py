@@ -159,20 +159,18 @@ def test_certificate_of_constructions_matches_reference():
 def test_pattern_scan_matches_reference():
     rng = random.Random(3)
 
-    def clause(seed):
-        def expected(j):
-            kind, bound = divmod(random.Random(seed + j).randrange(15), 5)
-            return (None, bound, ("ge", bound))[kind]
-        return expected
+    def table():
+        entries = (None,) + tuple(range(5)) + tuple(("ge", bound) for bound in range(5))
+        return tuple(rng.choice(entries) for _ in range(rng.choice((1, 2, 3, 4, 5, 10))))
 
     for graph, dist in CASES:
         for trial in range(4):
             order = list(range(graph.n))
             rng.shuffle(order)
-            seeds = [rng.randrange(10 ** 6) for _ in range(3)]
-            got = pattern_mismatches(order, dist.dists, tuple(map(clause, seeds)))
-            expected = reference_pattern_mismatches(order, dist.d, tuple(map(clause, seeds)))
-            assert got == expected
+            tables = tuple(table() for _ in range(3))
+            clauses = tuple((lambda j, t=t: t[j % len(t)]) for t in tables)
+            got = pattern_mismatches(order, dist.dists, tables)
+            assert got == reference_pattern_mismatches(order, dist.d, clauses)
 
 
 def test_chain_colors_match_reference():

@@ -25,14 +25,15 @@ def test_construction_check_rejects_a_reversed_ordering():
 def test_pattern_mismatches_reports_each_kind_of_claim():
     # distances on a path: consecutive 2, 1, 4; two-step 3, 5; three-step 7
     order = [0, 2, 3, 7]
-    checks = (lambda j: 2, lambda j: ("ge", 4), lambda j: None)
-    assert pattern_mismatches(order, lambda u, v: abs(u - v), checks) == [
+    tables = ((2,), (("ge", 4),), (None,))
+    assert pattern_mismatches(order, lambda u, v: abs(u - v), tables) == [
         ("consecutive-distance", 3, 2, 1),
         ("consecutive-distance", 4, 2, 4),
         ("two-step-distance", 3, ">=4", 3),
     ]
-    checks = (lambda j: None, lambda j: 3 if j == 3 else 5, lambda j: ("ge", 8))
-    assert pattern_mismatches(order, lambda u, v: abs(u - v), checks) == [
+    # position j reads table[j % len(table)]: two-step j = 3 reads 3, j = 4 reads 5
+    tables = ((None,), (5, 3), (("ge", 8),))
+    assert pattern_mismatches(order, lambda u, v: abs(u - v), tables) == [
         ("three-step-distance", 4, ">=8", 7),
     ]
 
@@ -53,10 +54,9 @@ def test_pattern_report_takes_the_first_clause_set_that_holds(monkeypatch):
         return bfs(graph)
 
     monkeypatch.setattr(results, "all_pairs_distances", counted)
-    none = lambda j: None
-    pairs = ("pairs", (lambda j: 3 if j % 2 == 0 else None, none, none))
-    zero = ("zero", (lambda j: 0, none, none))
-    far = ("far", (lambda j: 4, none, none))
+    pairs = ("pairs", ((3, None), (None,), (None,)))
+    zero = ("zero", ((0,), (None,), (None,)))
+    far = ("far", ((4,), (None,), (None,)))
     assert pattern_report(construction, [zero, pairs, far]) == PatternReport(True, "pairs", ())
     assert pattern_report(construction, [pairs, zero]) == PatternReport(True, "pairs", ())
     # no set holds: the last set's pattern and every one of its mismatches

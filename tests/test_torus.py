@@ -188,6 +188,26 @@ def test_size_rule_census():
     assert (raised, built) == (83, 484)
 
 
+def test_published_tables_claim_every_position():
+    # A published clause is never silently dropped (None) or weakened to a
+    # bound: ("ge", b) sits only at odd entries of the three-step table.
+    seen = set()
+    for r in range(3, 41):
+        for s in range(3, 41):
+            case = torus_case(r, s)
+            if case.label == LODD or (case.r, case.s) in seen:
+                continue
+            seen.add((case.r, case.s))
+            tables = _published_checks(case.label, case.r, case.s)
+            for back, table in enumerate(tables, start=1):
+                for p, entry in enumerate(table):
+                    assert entry is not None, (case, back, p)
+                    if isinstance(entry, tuple):
+                        assert back == 3 and p % 2 == 1 and entry[0] == "ge", (case, p)
+                    else:
+                        assert isinstance(entry, int), (case, back, p)
+
+
 def _ordering_outcome(build, case):
     """Vertex indices and per-pair deltas (None read as all zero, as
     ``chain_colors`` reads it) or the error's type and text."""
