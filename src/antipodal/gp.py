@@ -117,7 +117,7 @@ def gp_construction(n: int) -> Construction:
     """Graph, distances, construction ordering, coloring and formula: the
     chain of n antipodal pairs of ``gp_ordering``, each pair sharing a
     color, through the shared construct step."""
-    return chain_construction(make_gp(n), gp_ordering(n), None, gp_ac_formula(n))
+    return chain_construction(make_gp(n), gp_ordering(n), gp_ac_formula(n))
 
 
 def validate_gp_ordering(n: int) -> PatternReport:

@@ -97,19 +97,22 @@ def pair_chain(dims, anchors, offsets, copies, shift) -> np.ndarray:
     return ((points[..., 0] % r) * s + points[..., 1] % s).ravel()
 
 
-def chain_colors(order, deltas, dist: Distances) -> tuple[int, ...]:
-    """Colors by vertex of a pair chain A_1 B_1 A_2 B_2 ...: each partner
-    B_m takes its anchor's color plus the pair's delta (``deltas`` None
-    for all zero), and the next anchor's color grows by
-    diam - d(A_m, A_{m+1}), so the last anchor's color telescopes to
-    (V/2 - 1) * diam - sum_m d(A_m, A_{m+1})."""
+def chain_colors(order, dist: Distances) -> tuple[int, ...]:
+    """Colors by vertex of a pair chain A_1 B_1 ... A_M B_M, from the
+    ordering alone: the next anchor's color grows by diam - d(A_m, A_{m+1}),
+    and each partner B_m takes the latest color that every partner path
+    B_m ... B_i allows before A_{i+1}, i >= m, but never one below its
+    anchor's; B_M shares A_M's color."""
     order = np.asarray(order, dtype=np.int64)
-    anchors = order[0::2]
-    steps = dist.diameter - dist.dists(anchors[:-1], anchors[1:])
-    anchor_colors = np.concatenate(([0], np.cumsum(steps)))
+    one = dist.dists(order[:-1], order[1:])  # d(v_j, v_{j+1})
+    two = dist.dists(order[:-2], order[2:])  # d(v_j, v_{j+2})
+    anchor_colors = np.append(0, np.cumsum(dist.diameter - two[0::2]))
+    room = np.append(one[1::2] - two[0::2], 0)
+    slide = np.append(0, np.cumsum(two[1::2] - two[0::2]))
+    slack = np.maximum(np.minimum.accumulate((room + slide)[::-1])[::-1] - slide, 0)
     colors = np.zeros(len(order), dtype=np.int64)
-    colors[anchors] = anchor_colors
-    colors[order[1::2]] = anchor_colors + (np.array(deltas) if deltas else 0)
+    colors[order[0::2]] = anchor_colors
+    colors[order[1::2]] = anchor_colors + slack
     return tuple(colors.tolist())
 
 
@@ -145,13 +148,12 @@ def checked_construction(graph: Graph, dist: Distances, order: np.ndarray,
     return Construction(graph, dist, ordering, coloring, formula)
 
 
-def chain_construction(graph: Graph, order: np.ndarray, deltas,
+def chain_construction(graph: Graph, order: np.ndarray,
                        formula: FormulaResult) -> Construction:
-    """The checked record of the pair chain ``order`` (an integer array)
-    with per-pair ``deltas``, colored by ``chain_colors`` on ``graph``'s
-    distances (k = diameter - 1)."""
+    """The checked record of the pair chain ``order`` (an integer array),
+    colored by ``chain_colors`` on ``graph``'s distances (k = diameter - 1)."""
     dist = distances(graph)
-    coloring = Coloring(colors=chain_colors(order, deltas, dist), k=dist.diameter - 1)
+    coloring = Coloring(colors=chain_colors(order, dist), k=dist.diameter - 1)
     return checked_construction(graph, dist, order, coloring, formula)
 
 

@@ -4,7 +4,8 @@ For even rs every residue pair (r mod 4, s mod 4), after an orientation
 swap, falls into one of seven construction classes (``torus_case``).  Each
 class emits a vertex ordering made of rs/2 consecutive antipodal pairs; the
 construct step that GP(n,1) shares (``results.chain_construction``) colors
-it by the pair-chain rule g(A_{m+1}) = g(A_m) + diam - d(A_m, A_{m+1}).
+it from the ordering alone, by g(A_{m+1}) = g(A_m) + diam - d(A_m, A_{m+1})
+and the latest partner colors the later pairs allow (``chain_colors``).
 That yields a valid antipodal coloring whose span telescopes to
 (rs/2 - 1)*diam - sum_m d(A_m, A_{m+1}) and whose ordering passes the
 pattern certificate.  For odd rs only a lower bound is available.
@@ -16,7 +17,7 @@ generator that GP(n,1) shares (``results.pair_chain``):
 - ``_blocks(r, s, rows, shift)`` builds a base block of pairs and its
   copies j < s/4, each moved by j * shift.  In each row of the block the
   anchors step along the first coordinate, and every pair has a fixed
-  partner offset and delta.
+  partner offset.
 - ``_sweep(r, s, outer, inner, u, v, w, off)`` places, for q < outer and
   p < inner, an anchor at q*u + p*v (plus w when p is odd) and its partner
   at anchor + off.
@@ -30,9 +31,9 @@ The classes, as parameters of those two (a = (r+1)/4 for (3,2) and
   (r/2, s/2), shift (1,1);
 - (1,0): one row with step (r+1)/2, offset ((r-1)/2, s/2), shift (1,1),
   or (4, s/2 + 1) at r = 5, where (1,1) breaks the block seams;
-- (3,0), when r >= 7 or s = 4: one row with step h = (r-1)/2, pairs
-  ((0,0), (h, s/2), delta 1) and (((r-3)/4, s/4), (h+1, s/2), delta 0),
-  shift (1,1);
+- (3,0), when r >= 7 or s = 4: one row with step h = (r-1)/2, pairs at
+  (0,0) and ((r-3)/4, s/4) with offsets (h, s/2) and (h+1, s/2), shift
+  (1,1); the derived partner colors sit 1, 0 above their anchors';
 - (3,2) and (1,2), s = 2 (mod 8): parity rows, a sweep with outer s/2,
   inner r, u = w = (0, (s-2)/4), v = (a, 0), off ((r+1)/2, s/2);
 - (3,2) and (1,2), s = 6: a zigzag, a sweep with outer r, inner 3,
@@ -122,18 +123,17 @@ def _blocks(r, s, rows, shift):
     each moved by j * ``shift``.
 
     Each row is (count, step, pairs).  Its i-th anchor point, i < count, is
-    (i * step, 0), and each (anchor, offset, delta) in ``pairs`` puts a pair
+    (i * step, 0), and each (anchor, offset) in ``pairs`` puts a pair
     there: its anchor at that point + anchor, its partner at the anchor +
-    offset.  Returns the ``pair_chain`` indices and the per-pair deltas.
+    offset.  Returns the ``pair_chain`` indices.
     """
-    anchors, offsets, deltas = [], [], []
+    anchors, offsets = [], []
     for count, step, pairs in rows:
         for i in range(count):
-            for (x, y), offset, delta in pairs:
+            for (x, y), offset in pairs:
                 anchors.append((x + i * step, y))
                 offsets.append(offset)
-                deltas.append(delta)
-    return pair_chain((r, s), anchors, offsets, s // 4, shift), deltas * (s // 4)
+    return pair_chain((r, s), anchors, offsets, s // 4, shift)
 
 
 def _sweep(r, s, outer, inner, u, v, w, off):
@@ -207,19 +207,16 @@ _CERTIFIED_SPAN_OVERRIDES: dict[tuple[int, int], int] = {(3, 12): 61}
 
 # The normalized sizes where no repaired ordering holds but a pair chain that
 # passes the pattern certificate reaches the formula span: the vertex order
-# into make_torus(r, s) and the per-pair color gaps.  Each is the first chain
-# that the tests' exhaustive enumeration finds at that span.
-_FROZEN_CHAINS: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {
-    (3, 8): ((0, 12, 18, 6, 20, 8, 2, 14, 4, 16, 10, 22,
-              1, 13, 3, 23, 9, 21, 11, 7, 17, 5, 19, 15),
-             (0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 1, 0)),
-    (3, 12): ((0, 18, 27, 9, 1, 19, 4, 34, 13, 31, 16, 10, 25, 7, 28, 22, 14, 32,
-               11, 29, 2, 20, 35, 17, 26, 8, 23, 5, 33, 15, 24, 6, 21, 3, 12, 30),
-              (0, 1, 1, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 1, 0)),
-    (3, 14): ((0, 21, 4, 25, 8, 15, 12, 19, 2, 23, 6, 27, 10, 31,
-               35, 14, 18, 39, 22, 29, 26, 33, 16, 37, 20, 41, 3, 24,
-               7, 28, 11, 32, 1, 36, 5, 40, 9, 30, 13, 34, 38, 17),
-              (0,) * 21),
+# into make_torus(r, s), the first chain that the tests' exhaustive
+# enumeration finds at that span, colored by ``chain_colors`` like any other.
+_FROZEN_CHAINS: dict[tuple[int, int], tuple[int, ...]] = {
+    (3, 8): (0, 12, 18, 6, 20, 8, 2, 14, 4, 16, 10, 22,
+             1, 13, 3, 23, 9, 21, 11, 7, 17, 5, 19, 15),
+    (3, 12): (0, 18, 27, 9, 1, 19, 4, 34, 13, 31, 16, 10, 25, 7, 28, 22, 14, 32,
+              11, 29, 2, 20, 35, 17, 26, 8, 23, 5, 33, 15, 24, 6, 21, 3, 12, 30),
+    (3, 14): (0, 21, 4, 25, 8, 15, 12, 19, 2, 23, 6, 27, 10, 31,
+              35, 14, 18, 39, 22, 29, 26, 33, 16, 37, 20, 41, 3, 24,
+              7, 28, 11, 32, 1, 36, 5, 40, 9, 30, 13, 34, 38, 17),
 }
 
 
@@ -227,32 +224,30 @@ _FROZEN_CHAINS: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] =
 # builder dispatch
 # ---------------------------------------------------------------------------
 
-def _normalized_ordering(case: Case) -> tuple[np.ndarray, list | None]:
-    """Ordering, as indices into make_torus(case.r, case.s), and per-pair
-    deltas (None for all zero): each class as ``_blocks`` or ``_sweep``."""
+def _normalized_ordering(case: Case) -> np.ndarray:
+    """Ordering, as indices into make_torus(case.r, case.s): each class as
+    ``_blocks`` or ``_sweep``."""
     r, s, label = case.r, case.s, case.label
     if label == LODD:
         raise TorusError("no construction for odd rs; only a lower bound")
     half = (r // 2, s // 2)
     if label == L00:
-        pairs = [((0, 0), half, 0), ((3 * r // 4, 3 * s // 4), half, 0)]
+        pairs = [((0, 0), half), ((3 * r // 4, 3 * s // 4), half)]
         return _blocks(r, s, [(r, (r + 2) // 2, pairs)], (1, 1))
     if label == L10:
         # at r = 5 the published (1,1) copy shift breaks the block seams
         off = ((r - 1) // 2, s // 2)
-        pairs = [((0, 0), off, 0), (((3 * r + 1) // 4, 3 * s // 4), off, 0)]
+        pairs = [((0, 0), off), (((3 * r + 1) // 4, 3 * s // 4), off)]
         return _blocks(r, s, [(r, (r + 1) // 2, pairs)],
                        (4, s // 2 + 1) if r == 5 else (1, 1))
     if label == L20:
-        rows = [(r // 2, (r - 2) // 2, [((0, 0), half, 0), (((r - 2) // 4, s // 4), half, 0)]),
-                (r // 2, (r + 2) // 2, [((0, s // 2), half, 0),
-                                        (((3 * r + 2) // 4, 3 * s // 4), half, 0)])]
+        rows = [(r // 2, (r - 2) // 2, [((0, 0), half), (((r - 2) // 4, s // 4), half)]),
+                (r // 2, (r + 2) // 2, [((0, s // 2), half),
+                                        (((3 * r + 2) // 4, 3 * s // 4), half)])]
         return _blocks(r, s, rows, (1, 1))
-    # pair gaps alternate 1, 0, so every partner-side step is at least as long
-    # as its anchor step, which the published ordering violates
     if label == L30 and (r >= 7 or s == 4):
         h = (r - 1) // 2
-        pairs = [((0, 0), (h, s // 2), 1), (((r - 3) // 4, s // 4), (h + 1, s // 2), 0)]
+        pairs = [((0, 0), (h, s // 2)), (((r - 3) // 4, s // 4), (h + 1, s // 2))]
         return _blocks(r, s, [(r, h, pairs)], (1, 1))
     if label in (L32, L12):
         a = (r + 1) // 4 if label == L32 else (r - 1) // 4
@@ -261,17 +256,16 @@ def _normalized_ordering(case: Case) -> tuple[np.ndarray, list | None]:
             # parity rows: (s-2)/4 is even, so the anchors of even and odd p
             # lie on rows of opposite parity
             b = (s - 2) // 4
-            return _sweep(r, s, s // 2, r, (0, b), (a, 0), (0, b), off), None
+            return _sweep(r, s, s // 2, r, (0, b), (a, 0), (0, b), off)
         # the zigzag covers the torus when gcd(3a - 1, r) = 1, always so for (3,2)
         if s == 6 and gcd(3 * a - 1, r) == 1:
-            return _sweep(r, s, r, 3, (3 * a - 1, 0), (a, 1), (0, 0), off), None
+            return _sweep(r, s, r, 3, (3 * a - 1, 0), (a, 1), (0, 0), off)
     if label in (L22H, L22M):
         c = (r - 2) // 4
         u = (c if r % 8 == 6 else (r + 2) // 4, 0)
-        return _sweep(r, s, r, s // 2, u, (0, (s + 2) // 4), (c, 0), half), None
+        return _sweep(r, s, r, s // 2, u, (0, (s + 2) // 4), (c, 0), half)
     if (r, s) in _FROZEN_CHAINS:
-        order, deltas = _FROZEN_CHAINS[(r, s)]
-        return np.array(order, dtype=np.int64), list(deltas)
+        return np.array(_FROZEN_CHAINS[(r, s)], dtype=np.int64)
     raise ConstructionError(f"no construction for ({r},{s})")
 
 
@@ -281,11 +275,11 @@ def torus_construction(r: int, s: int) -> Construction:
     shared construct step."""
     case = torus_case(r, s)
     formula = torus_ac_formula(r, s)
-    order, deltas = _normalized_ordering(case)
+    order = _normalized_ordering(case)
     if case.swapped:  # the normalized vertex (j, i) of C_s x C_r is the caller's (i, j)
         j, i = np.divmod(order, r)
         order = i * s + j
-    return chain_construction(make_torus(r, s), order, deltas, formula)
+    return chain_construction(make_torus(r, s), order, formula)
 
 
 def torus_ordering(r: int, s: int) -> list[int]:

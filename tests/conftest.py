@@ -424,6 +424,27 @@ def reference_chain_colors(order, deltas, dist):
     return tuple(colors)
 
 
+def reference_derived_chain_colors(order, dist):
+    """Pair-chain colors from the ordering alone, pair by pair from the
+    back.  Anchors telescope as in ``reference_chain_colors``.  ``latest``
+    is partner B_m's latest color: at least diam - d apart from the next
+    anchor and from B_{m+1}'s latest color, B_M's being its anchor's.
+    B_m takes it, or its anchor's color when that is later."""
+    anchors, partners = order[0::2], order[1::2]
+    g = [0]
+    for a, b in zip(anchors, anchors[1:]):
+        g.append(g[-1] + dist.diameter - dist.d(a, b))
+    colors = [0] * len(order)
+    latest = g[-1]
+    for m in reversed(range(len(anchors))):
+        if m + 1 < len(anchors):
+            latest = min(g[m + 1] - dist.diameter + dist.d(partners[m], anchors[m + 1]),
+                         latest - dist.diameter + dist.d(partners[m], partners[m + 1]))
+        colors[anchors[m]] = g[m]
+        colors[partners[m]] = max(g[m], latest)
+    return tuple(colors)
+
+
 # Color increment applied on each even -> odd step, by case: the published
 # constant-increment rule, kept as the reference for the pair chain.
 _INCREMENT = {

@@ -20,7 +20,8 @@ from antipodal.gp import gp_ordering
 from antipodal.results import chain_colors, pattern_mismatches
 
 from conftest import (greedy_valid_coloring, random_connected_graph, reference_certificate_failures,
-                      reference_chain_colors, reference_epsilons, reference_family_dims,
+                      reference_chain_colors, reference_derived_chain_colors,
+                      reference_epsilons, reference_family_dims,
                       reference_graph_error, reference_pattern_mismatches,
                       reference_radio_violations, reference_residual)
 
@@ -180,16 +181,15 @@ def test_chain_colors_match_reference():
         for _ in range(5):
             order = list(range(r * s))
             rng.shuffle(order)
-            deltas = rng.choice((None, [rng.randrange(3) for _ in range(r * s // 2)]))
-            assert chain_colors(order, deltas, dist) == reference_chain_colors(
-                order, deltas, dist)
-    # GP's construction orderings, every residue class, on both distance classes
+            assert chain_colors(order, dist) == reference_derived_chain_colors(order, dist)
+    # GP's construction orderings, every residue class, on both distance
+    # classes, where every pair shares a color
     for n in range(3, 27):
         graph = make_gp(n)
         order = gp_ordering(n)
         for dist in (distances(graph), all_pairs_distances(graph)):
-            assert chain_colors(order, None, dist) == reference_chain_colors(
-                order, None, dist), n
+            assert chain_colors(order, dist) == reference_derived_chain_colors(
+                order, dist) == reference_chain_colors(order, None, dist), n
 
 
 def _mutations(graph, rng):

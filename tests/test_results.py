@@ -75,10 +75,9 @@ def test_construction_check_rejects_a_broken_torus_pair(monkeypatch, capsys):
     ordering = torus._normalized_ordering
 
     def broken(case):
-        order, deltas = ordering(case)
-        order = order.copy()
+        order = ordering(case).copy()
         order[1], order[2] = order[2], order[1]
-        return order, deltas
+        return order
 
     monkeypatch.setattr(torus, "_normalized_ordering", broken)
     with pytest.raises(ConstructionError, match=r"antipodal condition fails between "
@@ -89,3 +88,18 @@ def test_construction_check_rejects_a_broken_torus_pair(monkeypatch, capsys):
     for command in ("gen", "validate-ordering"):
         assert main([command, "--family", "torus", "--r", "4", "--s", "4"]) == 2
         assert "antipodal condition fails" in capsys.readouterr().err
+
+
+def test_construction_check_rejects_a_repeated_vertex(monkeypatch):
+    # a builder that emits a vertex twice reaches the permutation check
+    # first, whatever colors the chain rule derives for it
+    ordering = torus._normalized_ordering
+
+    def repeated(case):
+        order = ordering(case).copy()
+        order[3] = order[0]
+        return order
+
+    monkeypatch.setattr(torus, "_normalized_ordering", repeated)
+    with pytest.raises(ConstructionError, match=r"^ordering is not a permutation for \(4,4\)$"):
+        torus.torus_construction(4, 4)

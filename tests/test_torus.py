@@ -5,17 +5,18 @@ from math import gcd
 
 import pytest
 
-from antipodal.graphs import CycleProductDistances, all_pairs_distances, make_torus
+from antipodal.graphs import CycleProductDistances, all_pairs_distances, distances, make_torus
 from antipodal.radio import (Coloring, ordering_from_sequence,
                              pattern_certificate, span,
                              span_identity_residual, triameter, verify_radio_k)
-from antipodal.results import EXACT, LOWER_BOUND, ConstructionError, pattern_mismatches
+from antipodal.results import (EXACT, LOWER_BOUND, ConstructionError, chain_colors,
+                               pattern_mismatches)
 from antipodal.torus import (_FROZEN_CHAINS, L00, L10, L12, L20, L22H, L22M, L30, L32,
                              LODD, TorusError, _normalized_ordering, _published_checks,
                              torus_ac_formula, torus_antipodal_coloring, torus_case,
                              torus_construction, torus_ordering, validate_torus_ordering)
 
-from conftest import reference_normalized_ordering, reference_triameter
+from conftest import reference_chain_colors, reference_normalized_ordering, reference_triameter
 
 # one representative per construction class, plus every repaired size
 REPRESENTATIVES = [(4, 4), (8, 4), (5, 4), (5, 8), (6, 4), (3, 4), (7, 8),
@@ -209,26 +210,20 @@ def test_published_tables_claim_every_position():
 
 
 def _ordering_outcome(build, case):
-    """Vertex indices and per-pair deltas (None read as all zero, as
-    ``chain_colors`` reads it) or the error's type and text."""
+    """Vertex indices, or the error's type and text."""
     try:
-        order, deltas = build(case)
+        order = build(case)
     except (ConstructionError, TorusError) as error:
         return type(error).__name__, str(error)
-    return [int(v) for v in order], list(deltas) if deltas else [0] * (len(order) // 2)
-
-
-def _reference_vertices(case):
-    """The per-class builders' ordering, each label (i, j) as the vertex
-    i*s + j of make_torus(case.r, case.s)."""
-    labels, deltas = reference_normalized_ordering(case)
-    return [i * case.s + j for i, j in labels], deltas
+    return [int(v) for v in order]
 
 
 def test_generators_match_the_per_class_builders():
     # _blocks and _sweep reproduce the nine per-class loops they replaced:
-    # the same vertices, deltas and error text at every normalized size;
-    # the sizes stored as chains build exactly the stored data
+    # the same vertices and error text at every normalized size, and colors
+    # derived from the ordering alone equal the colors of the builders' own
+    # per-pair deltas (class (3,0)'s alternate 1, 0); the sizes stored as
+    # chains build exactly the stored order
     seen = set()
     for r in range(3, 61):
         for s in range(3, 61):
@@ -236,12 +231,20 @@ def test_generators_match_the_per_class_builders():
             if (case.r, case.s) in seen:
                 continue
             seen.add((case.r, case.s))
+            got = _ordering_outcome(_normalized_ordering, case)
             if (case.r, case.s) in _FROZEN_CHAINS:
-                order, deltas = _FROZEN_CHAINS[(case.r, case.s)]
-                expected = list(order), list(deltas)
-            else:
-                expected = _ordering_outcome(_reference_vertices, case)
-            assert _ordering_outcome(_normalized_ordering, case) == expected, (r, s)
+                assert got == list(_FROZEN_CHAINS[(case.r, case.s)]), (r, s)
+                continue
+            try:
+                labels, deltas = reference_normalized_ordering(case)
+            except (ConstructionError, TorusError) as error:
+                assert got == (type(error).__name__, str(error)), (r, s)
+                continue
+            expected = [i * case.s + j for i, j in labels]
+            assert got == expected, (r, s)
+            dist = distances(make_torus(case.r, case.s))
+            assert chain_colors(got, dist) == reference_chain_colors(
+                expected, deltas, dist), (r, s)
     assert len(seen) == 2159
 
 
